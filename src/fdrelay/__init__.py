@@ -8,8 +8,8 @@ The package splits into:
   phase rotation, and the convexified constraint used by the solvers.
 * :mod:`fdrelay.analysis` -- closed-form curvature reports, sign conditions
   and threshold powers, plus finite-difference checkers.
-* :mod:`fdrelay.solver` -- alternating per-relay optimizers, zero-leakage
-  special cases, the brute-force lattice oracle, and relay selection.
+* :mod:`fdrelay.solver` -- the per-relay envelope solve, the brute-force
+  lattice oracle, and relay selection.
 * :mod:`fdrelay.harness` -- reproducible Monte-Carlo experiments and CSV
   emission.
 * :mod:`fdrelay.cli` -- the ``fdrelay`` command-line entry point.
@@ -32,7 +32,6 @@ from .model import (
     rate_noncoh_obj,
     rate_noncoh_obj_zeta_zero,
     relay_gain,
-    replace_config,
     sample_channels,
     zeta_hat,
 )
@@ -73,7 +72,6 @@ from .solver import (
     NONCOHERENT,
     RelayResult,
     SolveResult,
-    SolverOptions,
     alternate_optimize,
     brute_force,
     feasible_interval_pr,
@@ -91,7 +89,7 @@ __all__ = [
     "PowerAllocation", "ZetaHatZero", "db_to_linear", "derived_quantities",
     "interference_noncoh", "linear_to_db", "rate_coh_obj", "rate_exact",
     "rate_hd", "rate_noncoh_obj", "rate_noncoh_obj_zeta_zero", "relay_gain",
-    "replace_config", "sample_channels", "zeta_hat",
+    "sample_channels", "zeta_hat",
     "CoherentDecomposition", "ConvexifiedConstraint", "PhaseSolution",
     "convexified_interference", "decompose", "freeze_constraint",
     "interference_coh", "interference_coh_at_phase", "optimal_phase",
@@ -100,7 +98,7 @@ __all__ = [
     "hessian_coh", "hessian_noncoh", "hessian_noncoh_zeta_zero",
     "numeric_gradient", "numeric_hessian", "sc1", "sc2_witness", "threshold_ps",
     "COHERENT", "EmptyInterval", "HD_BASELINE", "Infeasible", "NONCOHERENT",
-    "RelayResult", "SolveResult", "SolverOptions", "alternate_optimize",
+    "RelayResult", "SolveResult", "alternate_optimize",
     "brute_force", "feasible_interval_pr", "hd_baseline", "select_relay",
     "solve_1d_convex", "solve_network", "solve_zeta_zero",
     "__version__",

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import harness, model, solver
+from . import harness, model
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
@@ -51,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma list of leakage factors")
     run.add_argument("--ibar-db", type=_csv_floats, default=None,
                      help="comma list of interference caps in dB")
-    run.add_argument("--accurate", action="store_true",
-                     help="high-fidelity solver profile (slower)")
 
     verify = sub.add_parser("verify", help="run the structural check suite")
     verify.add_argument("--config", help="flat key=value config file")
@@ -94,8 +92,6 @@ def _cmd_run(args) -> int:
         # setup instead of the cap-sweep defaults
         kwargs.setdefault("i_bar_p_db_list", (8.0,))
         kwargs.setdefault("zeta_list", (0.4,))
-    if args.accurate:
-        kwargs["options"] = solver.SolverOptions().accurate()
     spec = harness.ExperimentSpec(**kwargs)
     rows = harness.run_experiment(spec, config)
     harness.emit_csv(rows, args.out)

@@ -51,7 +51,7 @@ UNCONSTRAINED = "unconstrained"
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """What to sweep, how many realizations, and with which solver budget."""
+    """What to sweep and how many realizations."""
 
     name: str
     scenarios: tuple[str, ...] = (solver.NONCOHERENT, solver.COHERENT)
@@ -63,7 +63,6 @@ class ExperimentSpec:
     num_realizations: int = 200
     base_seed: int = 0
     grid_n: int = 201                # oracle lattice (optimality-gap only)
-    options: solver.SolverOptions | None = None
 
     def __post_init__(self) -> None:
         if self.name not in EXPERIMENTS:
@@ -143,7 +142,7 @@ def _row_key(row: ResultRow):
 
 def _base_config(config: NetworkConfig, zeta: float, p_max_db: float) -> NetworkConfig:
     p_max = model.db_to_linear(p_max_db)
-    return model.replace_config(config, zeta=zeta, p_s_max=p_max, p_r_max=p_max)
+    return dataclasses.replace(config, zeta=zeta, p_s_max=p_max, p_r_max=p_max)
 
 
 def run_experiment(spec: ExperimentSpec, config: NetworkConfig) -> list[ResultRow]:
@@ -154,7 +153,7 @@ def run_experiment(spec: ExperimentSpec, config: NetworkConfig) -> list[ResultRo
     those), which is what makes the comparisons paired.  Interference-cap
     sweeps run smallest cap first and chain each solution into the next cap's
     solve as a warm start, so per-realization rate curves are nondecreasing
-    in the cap by construction of the ascent.
+    in the cap by construction (warm points lower-bound every solve).
     """
     channels_cache: dict[int, ChannelRealization] = {}
 
@@ -183,10 +182,6 @@ def run_experiment(spec: ExperimentSpec, config: NetworkConfig) -> list[ResultRo
 
 
 def _run_cap_sweep(spec, config, draw) -> list[ResultRow]:
-    opts = spec.options
-    if opts is None:
-        opts = (solver.SolverOptions().accurate() if spec.name == "optimality-gap"
-                else solver.SolverOptions())
     want_oracle = spec.name == "optimality-gap"
     ibar_dbs = sorted(spec.i_bar_p_db_list)
     rows: list[ResultRow] = []
@@ -200,15 +195,13 @@ def _run_cap_sweep(spec, config, draw) -> list[ResultRow]:
                 warm: dict[str, solver.SolveResult | None] = {
                     s: None for s in spec.scenarios}
                 for ibar_db in ibar_dbs:
-                    cfg = model.replace_config(base,
-                                               i_bar_p=model.db_to_linear(ibar_db))
+                    cfg = dataclasses.replace(base, i_bar_p=model.db_to_linear(ibar_db))
                     solved: dict[str, solver.SolveResult] = {}
                     for scen in spec.scenarios:
                         warm_in = [warm[scen]]
                         if scen == solver.COHERENT:
                             warm_in.append(solved.get(solver.NONCOHERENT))
-                        res = solver.solve_network(ch, cfg, scen, opts=opts,
-                                                   warm=warm_in)
+                        res = solver.solve_network(ch, cfg, scen, warm=warm_in)
                         solved[scen] = res
                         warm[scen] = res
                         oracle = gap = None
@@ -238,7 +231,7 @@ def _run_fixed_power_sweep(spec, config, draw) -> list[ResultRow]:
         for zeta in spec.zeta_list:
             base = _base_config(config, zeta, p_max_db)
             for ibar_db in spec.i_bar_p_db_list:
-                cfg = model.replace_config(base, i_bar_p=model.db_to_linear(ibar_db))
+                cfg = dataclasses.replace(base, i_bar_p=model.db_to_linear(ibar_db))
                 for r in range(spec.num_realizations):
                     seed = spec.base_seed + r
                     ch = draw(seed)

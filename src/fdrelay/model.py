@@ -15,7 +15,7 @@ index, config).  Broadcastable kernels used by the solvers live at the bottom
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +39,6 @@ __all__ = [
     "rate_coh_obj",
     "rate_hd",
     "interference_noncoh",
-    "replace_config",
 ]
 
 
@@ -97,20 +96,22 @@ class NetworkConfig:
         object.__setattr__(self, "var_rp_range", tuple(float(v) for v in self.var_rp_range))
         if not isinstance(self.num_relays, int) or isinstance(self.num_relays, bool) or self.num_relays < 1:
             raise ConfigError(f"num_relays must be a positive integer, got {self.num_relays!r}")
-        if not self.zeta >= 0.0:
-            raise ConfigError(f"zeta must be >= 0, got {self.zeta!r}")
+        if not (self.zeta >= 0.0 and math.isfinite(self.zeta)):
+            raise ConfigError(f"zeta must be finite and >= 0, got {self.zeta!r}")
         for name in ("p_s_max", "p_r_max", "sigma2_relay", "sigma2_dest", "sigma2_pu",
                      "var_sr", "var_rd", "var_sd", "var_rr", "sampling_freq"):
             val = getattr(self, name)
-            if not val > 0.0:
-                raise ConfigError(f"{name} must be > 0, got {val!r}")
-        # i_bar_p == 0 is a meaningful cap (it forces the all-zero allocation).
+            if not (val > 0.0 and math.isfinite(val)):
+                raise ConfigError(f"{name} must be finite and > 0, got {val!r}")
+        # i_bar_p == 0 is a meaningful cap (it forces the all-zero allocation),
+        # and i_bar_p == inf means no interference cap at all.
         if not self.i_bar_p >= 0.0:
             raise ConfigError(f"i_bar_p must be >= 0, got {self.i_bar_p!r}")
         for name in ("var_sp_range", "var_rp_range"):
             lo, hi = getattr(self, name)
-            if not (0.0 < lo <= hi):
-                raise ConfigError(f"{name} must satisfy 0 < lo <= hi, got ({lo!r}, {hi!r})")
+            if not (0.0 < lo <= hi and math.isfinite(hi)):
+                raise ConfigError(f"{name} must satisfy 0 < lo <= hi < inf, "
+                                  f"got ({lo!r}, {hi!r})")
 
 
 @dataclass(frozen=True)
@@ -323,11 +324,6 @@ def interference_noncoh(alloc: PowerAllocation, channels: ChannelRealization,
     hsp2 = float(np.abs(channels.h_sp) ** 2)
     hrp2 = float(np.abs(channels.h_rp[k]) ** 2)
     return hsp2 * alloc.p_s + hrp2 * alloc.p_r * (1.0 + config.zeta)
-
-
-def replace_config(config: NetworkConfig, **changes) -> NetworkConfig:
-    """dataclasses.replace with validation re-run (convenience for sweeps)."""
-    return dataclasses.replace(config, **changes)
 
 
 # ----------------------------------------------------------------------------

@@ -12,9 +12,9 @@ The feasibility analysis of the power subproblems replaces ``|B|`` with the
 bound ``sqrt(3) * p_r_sqrt * |h_rp|`` (a three-term Cauchy-Schwarz estimate of
 the relay's composite amplitude) and freezes the alignment phase, which turns
 the constraint into a convex quadratic in square-root powers -- see
-``ConvexifiedConstraint``.  Solvers freeze at the incumbent and refresh after
-every subproblem; the exact constraint is always re-checked before a point is
-accepted.
+``ConvexifiedConstraint``; ``solver.feasible_interval_pr`` shapes its coherent
+interval with it.  The solver's envelope search works on the exact signed
+gap |a| - |b| instead (``_amp_gap_vals``), whose square is the interference.
 """
 
 from __future__ import annotations
@@ -169,12 +169,13 @@ def convexified_interference(p: tuple[float, float], channels: ChannelRealizatio
 
 
 # ----------------------------------------------------------------------------
-# Broadcastable kernel (private): exact coherent interference over power grids.
+# Broadcastable kernels (private): exact coherent interference over power grids.
 # ----------------------------------------------------------------------------
 
-def _interference_coh_vals(ps, pr, channels: ChannelRealization, k: int,
-                           config: NetworkConfig):
-    """(|a| - |b|)^2 elementwise over broadcastable POWER arrays ps, pr."""
+def _amp_gap_vals(ps, pr, channels: ChannelRealization, k: int, config: NetworkConfig):
+    """Signed amplitude gap |a| - |b| elementwise over broadcastable POWER
+    arrays ps, pr.  The aligned interference is its square, so the feasible
+    set is where it lies in [-sqrt(i_bar_p), sqrt(i_bar_p)]."""
     ps = np.asarray(ps, dtype=float)
     pr = np.asarray(pr, dtype=float)
     hsr2 = float(np.abs(channels.h_sr[k]) ** 2)
@@ -187,4 +188,10 @@ def _interference_coh_vals(ps, pr, channels: ChannelRealization, k: int,
     noise = math.sqrt(config.sigma2_relay) * (1.0 + 1.0j) / math.sqrt(2.0)
     d = complex(channels.h_sr[k]) * sps + complex(channels.h_rr[k]) * szr + noise
     b = d * g * hrp * np.sqrt(pr)
-    return (np.abs(a) - np.abs(b)) ** 2
+    return np.abs(a) - np.abs(b)
+
+
+def _interference_coh_vals(ps, pr, channels: ChannelRealization, k: int,
+                           config: NetworkConfig):
+    """(|a| - |b|)^2 elementwise over broadcastable POWER arrays ps, pr."""
+    return _amp_gap_vals(ps, pr, channels, k, config) ** 2

@@ -1,33 +1,30 @@
-"""Alternating power optimizers, zero-leakage special cases, oracle, selection.
+"""Per-relay power optimization by an exact 1-D envelope search, the lattice
+oracle, and relay selection.
 
-The joint (source power, relay power) problem is not convex, but each
-coordinate slice of it is exactly solvable, so the workhorse here is
-coordinate ascent: optimize the relay power at fixed source power, then the
-source power at fixed relay power, repeat.  Two engineering realities shape
-the implementation:
+The joint (p_s, p_r) problem is not convex, but in every scenario it is a
+1-D problem.  At fixed p_r the exact rate log2(1 + x*y/(1 + x + y)) depends
+on p_s only through the source->relay SINR y, which rises strictly in p_s,
+and d/dy [x*y/(1 + x + y)] = x*(1 + x)/(1 + x + y)^2 > 0.  So the best
+source power is the largest feasible one, ps_top(p_r), and the optimum is
+max over p_r of R(ps_top(p_r), p_r).  ps_top is, per scenario:
 
-* The ascent objective is the EXACT rate, not the interference-limited
-  surrogate.  At small leakage the surrogate's maximizer sits far from the
-  true one (it throttles relay power an order of magnitude too early), and
-  the oracle-gap target is unreachable when alternating on it.  The
-  surrogate is still evaluated and reported per relay.
+* non-coherent: min(P_s, (Ibar - |h_rp|^2 (1 + zeta) p_r) / |h_sp|^2);
+* half-duplex: the slot caps decouple and the rate rises in both powers,
+  so the optimum is the corner (min(P_s, Ibar/|h_sp|^2), min(P_r, Ibar/|h_rp|^2));
+* coherent: the top root of |a| - |b| = +-sqrt(Ibar) along p_s
+  (``phase._amp_gap_vals``), bracketed for a whole p_r grid at once by
+  scans of the gap's sign, which also finds feasible bands thinner than
+  any grid cell; the winning column's bracket is then shrunk to a point.
 
-* Coordinate ascent stalls wherever the active interference constraint cuts
-  both axis directions.  After a stalled outer iteration the solvers run a
-  frontier refine -- in the non-coherent scenario a 1-D sweep along the
-  binding constraint line, in the coherent scenario a coarse feasible-mesh
-  rescan -- and resume coordinate ascent if it found something better.
-
-All solvers return allocations that satisfy the scenario's EXACT
-interference constraint (within 1e-9 relative) and the box constraints; in
-the coherent scenario the convexified quadratic can optionally shape the
-1-D feasible intervals (``coherent_constraint="surrogate"``), but accepted
-points are always re-checked against the exact constraint.
+The p_r search is a sqrt-spaced grid, then zoom rounds around the argmax.
+Warm points and, for the coherent scenario, the non-coherent optimum are
+compared in as lower bounds, so cap sweeps are monotone by construction.
+Every returned allocation satisfies the box and the scenario's EXACT
+interference constraint (within 1e-9 relative).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -39,7 +36,6 @@ from .model import ChannelRealization, NetworkConfig, PowerAllocation
 __all__ = [
     "Infeasible",
     "EmptyInterval",
-    "SolverOptions",
     "RelayResult",
     "SolveResult",
     "NONCOHERENT",
@@ -67,6 +63,14 @@ _SCENARIO_ALIASES = {
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+_PR_GRID = 129          # sqrt-spaced relay powers in the first envelope scan
+_ZOOM_GRID = 33         # relay powers per zoom round around the argmax
+_ZOOM_ROUNDS = 2
+_COLUMN_SCANS = (33, 17, 17)  # per coherent column: sqrt p_s grid, 2 refinements
+_SHRINK_GRID = 257      # points per bracket-shrink scan on the winning column
+_SHRINK_ROUNDS = 3      # shrink scans always run; more (up to the max) until
+_SHRINK_ROUNDS_MAX = 8  # the bracket's lower end is feasible
+
 
 class Infeasible(ValueError):
     """The constraint set is empty for the requested slice."""
@@ -85,50 +89,6 @@ def _norm_scenario(scenario: str) -> str:
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    """Knobs for the alternating solvers.
-
-    The first five fields are the contract; the rest tune the grid/polish
-    machinery.  Defaults are the fast profile used for Monte-Carlo sweeps;
-    ``accurate()`` returns the high-fidelity profile used when chasing the
-    brute-force oracle.
-    """
-
-    max_outer_iters: int = 50
-    obj_tol: float = 1e-6
-    var_tol: float = 1e-8
-    grid_n: int = 201
-    init_strategy: str = "max-power-scaled-to-feasible"  # | "midpoint" | "custom"
-    custom_init: tuple[float, float] | None = None       # powers, used by "custom"
-    order: str = "pr-first"                              # | "ps-first"
-    step_grid: int = 129        # samples per 1-D subproblem scan
-    frontier_grid: int = 129    # samples per stall-escape scan
-    polish_iters: int = 0       # golden-section refinements after each scan
-    cross_check_noncoh: bool = True   # coherent: seed with the non-coherent solution
-    coherent_constraint: str = "exact"  # | "surrogate" (frozen quadratic shapes intervals)
-
-    def __post_init__(self) -> None:
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
-        if not (self.obj_tol > 0.0 and self.var_tol > 0.0):
-            raise ValueError("tolerances must be > 0")
-        if self.grid_n < 2 or self.step_grid < 2 or self.frontier_grid < 2:
-            raise ValueError("grids need at least 2 points")
-        if self.init_strategy not in ("max-power-scaled-to-feasible", "midpoint", "custom"):
-            raise ValueError(f"unknown init_strategy {self.init_strategy!r}")
-        if self.init_strategy == "custom" and self.custom_init is None:
-            raise ValueError("init_strategy 'custom' needs custom_init")
-        if self.order not in ("pr-first", "ps-first"):
-            raise ValueError(f"unknown order {self.order!r}")
-        if self.coherent_constraint not in ("exact", "surrogate"):
-            raise ValueError(f"unknown coherent_constraint {self.coherent_constraint!r}")
-
-    def accurate(self) -> "SolverOptions":
-        return dataclasses.replace(self, step_grid=257, frontier_grid=257,
-                                   polish_iters=60)
-
-
-@dataclass(frozen=True)
 class RelayResult:
     """Outcome of one per-relay solve."""
 
@@ -137,9 +97,9 @@ class RelayResult:
     alloc: PowerAllocation
     rate: float            # exact achievable rate at alloc (always the reported figure)
     surrogate_obj: float   # the scenario's surrogate objective at alloc
-    iterations: int
+    iterations: int        # zoom rounds of the envelope search
     converged: bool
-    trace: tuple[tuple[int, float], ...]  # (outer iteration, objective) pairs
+    trace: tuple[tuple[int, float], ...]  # (round, best rate so far) pairs
 
 
 @dataclass(frozen=True)
@@ -164,7 +124,7 @@ class SolveResult:
 
 
 # ----------------------------------------------------------------------------
-# 1-D golden-section solve (public contract + internal polish helper).
+# 1-D golden-section solve (public contract).
 # ----------------------------------------------------------------------------
 
 def solve_1d_convex(objective, interval: tuple[float, float],
@@ -205,285 +165,164 @@ def solve_1d_convex(objective, interval: tuple[float, float],
 
 
 # ----------------------------------------------------------------------------
-# Scenario adapters. Working coordinates: powers for the non-coherent and HD
-# scenarios, sqrt-powers for the coherent one.
+# The envelope engine.
 # ----------------------------------------------------------------------------
 
 def _feas_cap(ibar: float) -> float:
     return ibar * (1.0 + 1e-9) + 1e-12
 
 
-class _ScenarioBase:
-    def __init__(self, channels: ChannelRealization, k: int, config: NetworkConfig):
-        self.channels = channels
-        self.k = k
-        self.config = config
-        self.hsr2 = float(np.abs(channels.h_sr[k]) ** 2)
-        self.hrd2 = float(np.abs(channels.h_rd[k]) ** 2)
-        self.hsp2 = float(np.abs(channels.h_sp) ** 2)
-        self.hrp2 = float(np.abs(channels.h_rp[k]) ** 2)
-        self.zh = model.zeta_hat(channels, k, config)
-        self.ibar = config.i_bar_p
-        self.ibar_cap = _feas_cap(config.i_bar_p)
-
-    # objective: exact rate in POWER units
-    def _rate_powers(self, ps, pr):
-        return model._rate_exact_vals(ps, pr, self.hsr2, self.hrd2, self.zh,
-                                      self.config.sigma2_relay, self.config.sigma2_dest)
+def _gains(channels: ChannelRealization, k: int):
+    """|h_sr|^2, |h_rd|^2, |h_sp|^2, |h_rp|^2 of relay k."""
+    return (float(np.abs(channels.h_sr[k]) ** 2), float(np.abs(channels.h_rd[k]) ** 2),
+            float(np.abs(channels.h_sp) ** 2), float(np.abs(channels.h_rp[k]) ** 2))
 
 
-class _NoncohScn(_ScenarioBase):
-    """Working coords = powers; linear interference constraint."""
-
-    def __init__(self, channels, k, config):
-        super().__init__(channels, k, config)
-        self.caps = (config.p_s_max, config.p_r_max)
-        self.denom_r = self.hrp2 * (1.0 + config.zeta)
-
-    def value(self, x):
-        return float(self._rate_powers(x[0], x[1]))
-
-    def value_axis(self, x, axis, grid):
-        if axis == 0:
-            return self._rate_powers(grid, x[1])
-        return self._rate_powers(x[0], grid)
-
-    def interference(self, x):
-        return self.hsp2 * x[0] + self.denom_r * x[1]
-
-    def feasible(self, x):
-        return (0.0 <= x[0] <= self.caps[0] * (1 + 1e-12)
-                and 0.0 <= x[1] <= self.caps[1] * (1 + 1e-12)
-                and self.interference(x) <= self.ibar_cap)
-
-    def axis_segments(self, x, axis):
-        if axis == 1:
-            rem = self.ibar - self.hsp2 * x[0]
-            if rem < -1e-12:
-                return []
-            rem = max(rem, 0.0)
-            ub = self.caps[1] if self.denom_r == 0.0 else min(self.caps[1], rem / self.denom_r)
-        else:
-            rem = self.ibar - self.denom_r * x[1]
-            if rem < -1e-12:
-                return []
-            rem = max(rem, 0.0)
-            ub = self.caps[0] if self.hsp2 == 0.0 else min(self.caps[0], rem / self.hsp2)
-        return [(0.0, ub)]
-
-    def frontier(self, x, best, opts):
-        """Scan the binding-constraint line pr(ps), the only place ascent stalls."""
-        s_hi = self.caps[0] if self.hsp2 == 0.0 else min(self.caps[0], self.ibar / self.hsp2)
-        s = np.linspace(0.0, s_hi, opts.frontier_grid)
-        if self.denom_r == 0.0:
-            r_line = np.full_like(s, self.caps[1])
-        else:
-            r_line = np.minimum(self.caps[1], (self.ibar - self.hsp2 * s) / self.denom_r)
-            r_line = np.clip(r_line, 0.0, None)
-        vals = self._rate_powers(s, r_line)
-        j = int(np.argmax(vals))
-
-        def line_rate(t):
-            if self.denom_r == 0.0:
-                r = self.caps[1]
-            else:
-                r = min(self.caps[1], max(0.0, (self.ibar - self.hsp2 * t) / self.denom_r))
-            return float(self._rate_powers(t, r))
-
-        lo, hi = s[max(j - 1, 0)], s[min(j + 1, len(s) - 1)]
-        t_best, v_best = solve_1d_convex(line_rate, (lo, hi), tol=opts.var_tol)
-        if v_best < vals[j]:
-            t_best, v_best = float(s[j]), float(vals[j])
-        if self.denom_r == 0.0:
-            r_best = self.caps[1]
-        else:
-            r_best = min(self.caps[1], max(0.0, (self.ibar - self.hsp2 * t_best) / self.denom_r))
-        cand = (t_best, r_best)
-        if v_best > best and self.feasible(cand):
-            return cand, v_best
-        return None
-
-    def scale_to_feasible(self, x):
-        i = self.interference(x)
-        if i <= self.ibar_cap or i == 0.0:
-            return x
-        t = self.ibar / i
-        return (x[0] * t, x[1] * t)
-
-    def to_alloc(self, x):
-        return PowerAllocation(float(x[0]), float(x[1]), feasible=True)
+def _cap_ratio(budget: float, gain: float) -> float:
+    """budget / gain, with a zero gain never binding."""
+    return budget / gain if gain > 0.0 else math.inf
 
 
-class _HdScn(_ScenarioBase):
-    """Half-duplex comparator: per-slot (decoupled) interference caps."""
-
-    def __init__(self, channels, k, config):
-        super().__init__(channels, k, config)
-        self.caps = (config.p_s_max, config.p_r_max)
-
-    def _rate_powers(self, ps, pr):
-        return model._hd_rate_vals(ps, pr, self.hsr2, self.hrd2,
-                                   self.config.sigma2_relay, self.config.sigma2_dest)
-
-    def value(self, x):
-        return float(self._rate_powers(x[0], x[1]))
-
-    def value_axis(self, x, axis, grid):
-        if axis == 0:
-            return self._rate_powers(grid, x[1])
-        return self._rate_powers(x[0], grid)
-
-    def feasible(self, x):
-        return (0.0 <= x[0] <= self.caps[0] * (1 + 1e-12)
-                and 0.0 <= x[1] <= self.caps[1] * (1 + 1e-12)
-                and self.hsp2 * x[0] <= self.ibar_cap
-                and self.hrp2 * x[1] <= self.ibar_cap)
-
-    def axis_segments(self, x, axis):
-        if axis == 1:
-            ub = self.caps[1] if self.hrp2 == 0.0 else min(self.caps[1], self.ibar / self.hrp2)
-        else:
-            ub = self.caps[0] if self.hsp2 == 0.0 else min(self.caps[0], self.ibar / self.hsp2)
-        return [(0.0, ub)]
-
-    def frontier(self, x, best, opts):
-        return None  # monotone objective on a box: axis steps alone reach the corner
-
-    def scale_to_feasible(self, x):
-        t = 1.0
-        if self.hsp2 > 0.0 and self.hsp2 * x[0] > self.ibar:
-            t = min(t, self.ibar / (self.hsp2 * x[0]))
-        if self.hrp2 > 0.0 and self.hrp2 * x[1] > self.ibar:
-            t = min(t, self.ibar / (self.hrp2 * x[1]))
-        return (x[0] * t, x[1] * t)
-
-    def to_alloc(self, x):
-        return PowerAllocation(float(x[0]), float(x[1]), feasible=True)
+def _rate_fn(channels, k, config, scenario):
+    """The scenario's exact rate as a broadcastable function of (p_s, p_r)."""
+    hsr2, hrd2, _, _ = _gains(channels, k)
+    s2r, s2d = config.sigma2_relay, config.sigma2_dest
+    if scenario == HD_BASELINE:
+        return lambda ps, pr: model._hd_rate_vals(ps, pr, hsr2, hrd2, s2r, s2d)
+    zh = model.zeta_hat(channels, k, config)
+    return lambda ps, pr: model._rate_exact_vals(ps, pr, hsr2, hrd2, zh, s2r, s2d)
 
 
-class _CohScn(_ScenarioBase):
-    """Working coords = sqrt powers; cancellation-shaped constraint.
+def _feasible(ps, pr, channels, k, config, scenario):
+    """Box and EXACT scenario constraint, elementwise, with the solver's slack."""
+    cap = _feas_cap(config.i_bar_p)
+    _, _, hsp2, hrp2 = _gains(channels, k)
+    if scenario == NONCOHERENT:
+        ok = hsp2 * ps + hrp2 * (1.0 + config.zeta) * pr <= cap
+    elif scenario == COHERENT:
+        ok = phase._interference_coh_vals(ps, pr, channels, k, config) <= cap
+    else:
+        ok = (hsp2 * ps <= cap) & (hrp2 * pr <= cap)
+    return (ok & (0.0 <= ps) & (ps <= config.p_s_max * (1 + 1e-12))
+            & (0.0 <= pr) & (pr <= config.p_r_max * (1 + 1e-12)))
 
-    Feasible slices along an axis are generally BANDS, not intervals: raising
-    the relay power can restore feasibility by deepening the cancellation.
-    Segments are read off a dense exact-constraint mask (or, in surrogate
-    mode, from the frozen quadratic's single interval).
+
+def _envelope(top, rate, pr_hi):
+    """Maximize rate(ps_top(p_r), p_r) over p_r in [0, pr_hi].
+
+    ``top`` maps a p_r array to (ps_lo, ps_hi) arrays: ps_lo is at most
+    ps_top (negative where the column has no feasible point) and ps_hi bounds
+    it from above (equal to ps_lo where ps_lo is exact).  Returns
+    ((value, p_r, ps_lo, ps_hi) of the best column, trace).
     """
-
-    def __init__(self, channels, k, config, constraint="exact"):
-        super().__init__(channels, k, config)
-        self.caps = (math.sqrt(config.p_s_max), math.sqrt(config.p_r_max))
-        self.constraint = constraint
-
-    def value(self, x):
-        return float(self._rate_powers(x[0] ** 2, x[1] ** 2))
-
-    def value_axis(self, x, axis, grid):
-        if axis == 0:
-            return self._rate_powers(grid ** 2, x[1] ** 2)
-        return self._rate_powers(x[0] ** 2, grid ** 2)
-
-    def interference(self, x):
-        return float(phase._interference_coh_vals(x[0] ** 2, x[1] ** 2,
-                                                  self.channels, self.k, self.config))
-
-    def _interference_axis(self, x, axis, grid):
-        if axis == 0:
-            return phase._interference_coh_vals(grid ** 2, x[1] ** 2,
-                                                self.channels, self.k, self.config)
-        return phase._interference_coh_vals(x[0] ** 2, grid ** 2,
-                                            self.channels, self.k, self.config)
-
-    def feasible(self, x):
-        return (0.0 <= x[0] <= self.caps[0] * (1 + 1e-12)
-                and 0.0 <= x[1] <= self.caps[1] * (1 + 1e-12)
-                and self.interference(x) <= self.ibar_cap)
-
-    def axis_segments(self, x, axis):
-        if self.constraint == "surrogate":
-            return self._surrogate_interval(x, axis)
-        n = 4 * 129 + 1
-        grid = np.linspace(0.0, self.caps[axis], n)
-        ok = self._interference_axis(x, axis, grid) <= self.ibar_cap
-        return _runs_to_segments(grid, ok)
-
-    def _surrogate_interval(self, x, axis):
-        """Single [0, root] interval from the quadratic frozen at the incumbent."""
-        frozen = phase.freeze_constraint(self.to_alloc_unchecked(x), self.channels,
-                                         self.k, self.config)
-        hsp = complex(self.channels.h_sp)
-        if axis == 1:
-            fixed, cap = x[0], self.caps[1]
-            alpha = frozen.f1 ** 2 + frozen.f2 ** 2
-            beta = 2.0 * (hsp.real * fixed * frozen.f1 + hsp.imag * fixed * frozen.f2)
-            gamma = self.hsp2 * fixed ** 2 - self.ibar
-        else:
-            fixed, cap = x[1], self.caps[0]
-            alpha = self.hsp2
-            beta = 2.0 * (hsp.real * frozen.f1 + hsp.imag * frozen.f2) * fixed
-            gamma = (frozen.f1 ** 2 + frozen.f2 ** 2) * fixed ** 2 - self.ibar
-        ub = _quadratic_feasible_ub(alpha, beta, gamma, cap)
-        if ub is None:
-            return []
-        return [(0.0, ub)]
-
-    def frontier(self, x, best, opts):
-        """Coarse feasible-mesh rescan: the escape hatch for band-crawl stalls."""
-        m = opts.frontier_grid
-        s = np.linspace(0.0, self.caps[0], m)
-        r = np.linspace(0.0, self.caps[1], m)
-        ps = (s ** 2)[:, None]
-        pr = (r ** 2)[None, :]
-        ivals = phase._interference_coh_vals(ps, pr, self.channels, self.k, self.config)
-        rates = self._rate_powers(ps, pr)
-        rates = np.where(ivals <= self.ibar_cap, rates, -1.0)
-        j = int(np.argmax(rates))
-        v = float(rates.flat[j])
-        if v > best:
-            cand = (float(s[j // m]), float(r[j % m]))
-            return cand, v
-        return None
-
-    def mesh_argmax(self, n):
-        """Best feasible point of an n x n sqrt-coordinate lattice (for inits)."""
-        s = np.linspace(0.0, self.caps[0], n)
-        r = np.linspace(0.0, self.caps[1], n)
-        ps = (s ** 2)[:, None]
-        pr = (r ** 2)[None, :]
-        ivals = phase._interference_coh_vals(ps, pr, self.channels, self.k, self.config)
-        rates = np.where(ivals <= self.ibar_cap, self._rate_powers(ps, pr), -1.0)
-        j = int(np.argmax(rates))
-        if rates.flat[j] < 0.0:
-            return (0.0, 0.0)
-        return (float(s[j // n]), float(r[j % n]))
-
-    def scale_to_feasible(self, x):
-        if self.feasible(x):
-            return x
-        t = np.linspace(0.0, 1.0, 513)
-        ivals = phase._interference_coh_vals((t * x[0]) ** 2, (t * x[1]) ** 2,
-                                             self.channels, self.k, self.config)
-        ok = np.nonzero(ivals <= self.ibar_cap)[0]
-        t_best = float(t[ok[-1]]) if ok.size else 0.0
-        return (x[0] * t_best, x[1] * t_best)
-
-    def to_alloc(self, x):
-        return PowerAllocation(float(x[0]) ** 2, float(x[1]) ** 2, feasible=True)
-
-    def to_alloc_unchecked(self, x):
-        return PowerAllocation(float(x[0]) ** 2, float(x[1]) ** 2)
+    u = np.linspace(0.0, math.sqrt(pr_hi), _PR_GRID)
+    best, trace = (-1.0, 0.0, -1.0, -1.0), []
+    for rnd in range(_ZOOM_ROUNDS + 1):
+        pr = u * u
+        ps_lo, ps_hi = top(pr)
+        vals = np.where(ps_lo >= 0.0, rate(np.maximum(ps_lo, 0.0), pr), -1.0)
+        j = int(np.argmax(vals))
+        if vals[j] > best[0]:
+            best = (float(vals[j]), float(pr[j]), float(ps_lo[j]), float(ps_hi[j]))
+        trace.append((rnd, max(best[0], 0.0)))
+        u = np.linspace(u[max(j - 1, 0)], u[min(j + 1, len(u) - 1)], _ZOOM_GRID)
+    return best, trace
 
 
-def _runs_to_segments(grid: np.ndarray, ok: np.ndarray) -> list[tuple[float, float]]:
-    """Contiguous True runs of a mask -> [(lo, hi)] in grid units."""
-    if not ok.any():
-        return []
-    idx = np.nonzero(ok)[0]
-    breaks = np.nonzero(np.diff(idx) > 1)[0]
-    starts = np.concatenate(([idx[0]], idx[breaks + 1]))
-    ends = np.concatenate((idx[breaks], [idx[-1]]))
-    return [(float(grid[s]), float(grid[e])) for s, e in zip(starts, ends)]
+def _shrink(gap, pr, lo, hi, root, points):
+    """One scan of each column's bracket [lo, hi] of sqrt source powers.
 
+    Along p_s the signed gap |a| - |b| must stay in [-root, root].  With s the
+    gap's sign at the bracket top, f = s*gap - root is > 0 where the top
+    overshoots that level; the last scanned point with f <= 0 and its
+    successor are the new bracket.  Returns (lo, hi, f at lo): f(lo) > 0
+    means the column has no feasible point, f(lo) < -2*root that lo still
+    lies below the lower level (only the top root is then feasible).
+    """
+    t = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, points)
+    g = gap(t * t, pr[:, None])
+    f = np.copysign(1.0, g[:, -1:]) * g - root
+    j = points - 1 - np.argmax(f[:, ::-1] <= 0.0, axis=1)
+    rows = np.arange(len(pr))
+    return t[rows, j], t[rows, np.minimum(j + 1, points - 1)], f[rows, j]
+
+
+def _best_point(channels, k, config, scenario, warm):
+    """(p_s, p_r, trace) of the best feasible point found for relay k."""
+    _, _, hsp2, hrp2 = _gains(channels, k)
+    ibar, ps_max, pr_max = config.i_bar_p, config.p_s_max, config.p_r_max
+    rate = _rate_fn(channels, k, config, scenario)
+    cands, trace = [(w.p_s, w.p_r) for w in warm], []
+    if scenario == HD_BASELINE:
+        ps, pr = min(ps_max, _cap_ratio(ibar, hsp2)), min(pr_max, _cap_ratio(ibar, hrp2))
+    elif scenario == NONCOHERENT:
+        denom_r = hrp2 * (1.0 + config.zeta)
+
+        def top(pr):
+            ps = (np.full_like(pr, ps_max) if hsp2 == 0.0
+                  else np.clip((ibar - denom_r * pr) / hsp2, 0.0, ps_max))
+            return ps, ps
+
+        pr_hi = min(pr_max, _cap_ratio(ibar, denom_r))
+        kink = (ibar - hsp2 * ps_max) / denom_r if denom_r > 0.0 else -1.0
+        if 0.0 < kink < pr_hi:  # the envelope's one kink: ps_top leaves P_s
+            cands.append((float(top(np.array(kink))[0]), kink))
+        (_, pr, ps, _), trace = _envelope(top, rate, pr_hi)
+    else:
+        def gap(ps, pr):
+            return phase._amp_gap_vals(ps, pr, channels, k, config)
+
+        def top(pr):  # sqrt-spaced p_s scan of every column, then finer scans
+            lo, hi = np.zeros_like(pr), np.full_like(pr, math.sqrt(ps_max))
+            for points in _COLUMN_SCANS:
+                lo, hi, f_lo = _shrink(gap, pr, lo, hi, root, points)
+            return np.where(f_lo <= 0.0, lo * lo, -1.0), hi * hi
+
+        root = math.sqrt(ibar)
+        cands.append(_best_point(channels, k, config, NONCOHERENT, warm)[:2])
+        (_, pr, ps_lo, ps_hi), trace = _envelope(top, rate, pr_max)
+        ps, lo, hi = max(ps_lo, 0.0), np.sqrt([ps_lo]), np.sqrt([ps_hi])
+        for rnd in range(_SHRINK_ROUNDS_MAX if ps_lo < ps_hi else 0):
+            lo, hi, f_lo = _shrink(gap, np.array([pr]), lo, hi, root, _SHRINK_GRID)
+            if f_lo[0] >= -2.0 * root:  # lo is above the lower level too
+                ps = float(lo[0] * lo[0])
+                if rnd + 1 >= _SHRINK_ROUNDS:
+                    break
+    best, best_v = (0.0, 0.0), 0.0
+    for p in [(ps, pr)] + cands:
+        if _feasible(p[0], p[1], channels, k, config, scenario) and rate(*p) > best_v:
+            best, best_v = p, float(rate(*p))
+    # column estimates never exceed what the verified point delivers
+    return best + (tuple((i, min(v, best_v)) for i, v in trace) + ((len(trace), best_v),),)
+
+
+def _surrogate_at(alloc, channels, k, config, scenario):
+    if scenario == HD_BASELINE:
+        hsr2, hrd2, _, _ = _gains(channels, k)
+        x = alloc.p_r * hrd2 / config.sigma2_dest
+        y = alloc.p_s * hsr2 / config.sigma2_relay
+        return float(x * y / (1.0 + x + y))
+    if model.zeta_hat(channels, k, config) == 0.0:
+        return model.rate_noncoh_obj_zeta_zero(alloc, channels, k, config)
+    return model.rate_noncoh_obj(alloc, channels, k, config)
+
+
+def _solve(channels, k, config, scenario, warm=()):
+    # a zero cap admits only the all-zero allocation
+    ps, pr, trace = ((0.0, 0.0, ((0, 0.0),)) if config.i_bar_p == 0.0
+                     else _best_point(channels, k, config, scenario, warm))
+    alloc = PowerAllocation(float(ps), float(pr), feasible=True)
+    rate = float(model.rate_hd(alloc, channels, k, config) if scenario == HD_BASELINE
+                 else model.rate_exact(alloc, channels, k, config))
+    return RelayResult(relay=k, scenario=scenario, alloc=alloc, rate=rate,
+                       surrogate_obj=_surrogate_at(alloc, channels, k, config, scenario),
+                       iterations=_ZOOM_ROUNDS if len(trace) > 1 else 0,
+                       converged=True, trace=trace)
+
+
+# ----------------------------------------------------------------------------
+# Public solver ops.
+# ----------------------------------------------------------------------------
 
 def _quadratic_feasible_ub(alpha: float, beta: float, gamma: float,
                            cap: float) -> float | None:
@@ -500,189 +339,6 @@ def _quadratic_feasible_ub(alpha: float, beta: float, gamma: float,
     t_hi = (-beta + math.sqrt(disc)) / (2.0 * alpha)
     return min(cap, max(0.0, t_hi))
 
-
-# ----------------------------------------------------------------------------
-# The alternation engine.
-# ----------------------------------------------------------------------------
-
-def _axis_step(scn, x, axis, best, opts):
-    """Maximize the objective along one axis over its feasible segments."""
-    best_x, best_v = x, best
-    for lo, hi in scn.axis_segments(x, axis):
-        if hi < lo:
-            continue
-        grid = np.linspace(lo, hi, opts.step_grid) if hi > lo else np.array([lo])
-        vals = scn.value_axis(x, axis, grid)
-        j = int(np.argmax(vals))
-        xj, vj = float(grid[j]), float(vals[j])
-        if opts.polish_iters > 0 and hi > lo:
-            a = float(grid[max(j - 1, 0)])
-            b = float(grid[min(j + 1, len(grid) - 1)])
-
-            def slice_val(t, _axis=axis):
-                return float(scn.value_axis(x, _axis, np.asarray(t)))
-
-            xg, vg = _golden_bounded(slice_val, a, b, opts.var_tol, opts.polish_iters)
-            if vg > vj:
-                xj, vj = xg, vg
-        if vj > best_v:
-            cand = (xj, x[1]) if axis == 0 else (x[0], xj)
-            if scn.feasible(cand):
-                best_x, best_v = cand, vj
-            else:
-                # polish overstepped between mask points: pull back toward the
-                # incumbent coordinate until the exact constraint holds again
-                pulled = _bisect_axis_feasible(scn, x, axis, xj)
-                if pulled is not None:
-                    cand = pulled
-                    v = scn.value(cand)
-                    if v > best_v:
-                        best_x, best_v = cand, v
-    return best_x, best_v
-
-
-def _golden_bounded(fn, a, b, tol, max_iters):
-    if b - a <= tol:
-        x = 0.5 * (a + b)
-        return x, fn(x)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(max_iters):
-        if b - a <= tol:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    cands = [(x, fn(x)), (a, fn(a)), (b, fn(b))]
-    return max(cands, key=lambda p: p[1])
-
-
-def _bisect_axis_feasible(scn, x, axis, target):
-    """Largest feasible coordinate between the incumbent's and the target's."""
-    lo = x[axis]
-    hi = target
-    cand = (hi, x[1]) if axis == 0 else (x[0], hi)
-    if scn.feasible(cand):
-        return cand
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        cand = (mid, x[1]) if axis == 0 else (x[0], mid)
-        if scn.feasible(cand):
-            lo = mid
-        else:
-            hi = mid
-    cand = (lo, x[1]) if axis == 0 else (x[0], lo)
-    return cand if scn.feasible(cand) else None
-
-
-def _alternate(scn, x0, opts):
-    x = (float(x0[0]), float(x0[1]))
-    best = scn.value(x)
-    trace = [(0, best)]
-    axes = (1, 0) if opts.order == "pr-first" else (0, 1)
-    converged = False
-    iters = 0
-    for it in range(1, opts.max_outer_iters + 1):
-        iters = it
-        prev = best
-        for axis in axes:
-            x, best = _axis_step(scn, x, axis, best, opts)
-        stalled = best - prev <= opts.obj_tol * max(1.0, abs(prev))
-        if stalled:
-            cand = scn.frontier(x, best, opts)
-            if cand is not None:
-                x, best = cand
-        trace.append((it, best))
-        if best - prev <= opts.obj_tol * max(1.0, abs(prev)):
-            converged = True
-            break
-    return x, best, iters, converged, tuple(trace)
-
-
-def _warm_list(warm_start):
-    if warm_start is None:
-        return []
-    if isinstance(warm_start, PowerAllocation):
-        return [warm_start]
-    return list(warm_start)
-
-
-def _initial_point(scn, opts, warm_start):
-    """Pick the best feasible start among strategy point, warm start(s), and
-    (coherent only) a coarse mesh argmax."""
-    if opts.init_strategy == "midpoint":
-        raw = (scn.caps[0] * 0.5, scn.caps[1] * 0.5)
-    elif opts.init_strategy == "custom":
-        ps, pr = opts.custom_init
-        raw = _to_working(scn, ps, pr)
-    else:
-        raw = (scn.caps[0], scn.caps[1])
-    candidates = [scn.scale_to_feasible(raw)]
-    for ws in _warm_list(warm_start):
-        cand = _to_working(scn, ws.p_s, ws.p_r)
-        candidates.append(cand)  # exact warm point first: keeps ascent >= its value
-        candidates.append(scn.scale_to_feasible(cand))
-    if isinstance(scn, _CohScn):
-        candidates.append(scn.mesh_argmax(max(33, (opts.frontier_grid + 1) // 2)))
-    best_x, best_v = None, -1.0
-    for cand in candidates:
-        if not scn.feasible(cand):
-            continue
-        v = scn.value(cand)
-        if v > best_v:
-            best_x, best_v = cand, v
-    return best_x if best_x is not None else (0.0, 0.0)
-
-
-def _to_working(scn, ps, pr):
-    if isinstance(scn, _CohScn):
-        return (math.sqrt(max(ps, 0.0)), math.sqrt(max(pr, 0.0)))
-    return (ps, pr)
-
-
-def _zero_result(k, scenario):
-    return RelayResult(relay=k, scenario=scenario,
-                       alloc=PowerAllocation(0.0, 0.0, feasible=True),
-                       rate=0.0, surrogate_obj=0.0, iterations=0, converged=True,
-                       trace=((0, 0.0),))
-
-
-def _surrogate_at(alloc, channels, k, config, scenario):
-    if scenario == HD_BASELINE:
-        hsr2 = float(np.abs(channels.h_sr[k]) ** 2)
-        hrd2 = float(np.abs(channels.h_rd[k]) ** 2)
-        x = alloc.p_r * hrd2 / config.sigma2_dest
-        y = alloc.p_s * hsr2 / config.sigma2_relay
-        return float(x * y / (1.0 + x + y))
-    if model.zeta_hat(channels, k, config) == 0.0:
-        return model.rate_noncoh_obj_zeta_zero(alloc, channels, k, config)
-    return model.rate_noncoh_obj(alloc, channels, k, config)
-
-
-def _finish(scn, k, scenario, x, value, iters, converged, trace):
-    if not scn.feasible(x):  # paranoia: all accepted points were checked
-        x = scn.scale_to_feasible(x)
-        value = scn.value(x)
-    alloc = scn.to_alloc(x)
-    rate = float(model.rate_exact(alloc, scn.channels, k, scn.config)
-                 if scenario != HD_BASELINE else
-                 model.rate_hd(alloc, scn.channels, k, scn.config))
-    return RelayResult(relay=k, scenario=scenario, alloc=alloc, rate=rate,
-                       surrogate_obj=_surrogate_at(alloc, scn.channels, k,
-                                                   scn.config, scenario),
-                       iterations=iters, converged=converged, trace=trace)
-
-
-# ----------------------------------------------------------------------------
-# Public solver ops.
-# ----------------------------------------------------------------------------
 
 def feasible_interval_pr(p_s: float, channels: ChannelRealization, k: int,
                          config: NetworkConfig, scenario: str,
@@ -726,20 +382,15 @@ def feasible_interval_pr(p_s: float, channels: ChannelRealization, k: int,
     if ub is None:
         ub = 0.0
 
-    def exact_ok(t):
-        return float(phase._interference_coh_vals(p_s, t * t, channels, k, config)) \
-            <= _feas_cap(ibar)
-
     grid = np.linspace(0.0, ub, 1025)
     ivals = phase._interference_coh_vals(p_s, grid ** 2, channels, k, config)
     bad = np.nonzero(ivals > _feas_cap(ibar))[0]
     if bad.size:
-        j = int(bad[0])
-        lo = float(grid[j - 1]) if j > 0 else 0.0
-        hi = float(grid[j])
+        lo, hi = float(grid[max(bad[0] - 1, 0)]), float(grid[bad[0]])
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if exact_ok(mid):
+            if phase._interference_coh_vals(p_s, mid * mid, channels, k, config) \
+                    <= _feas_cap(ibar):
                 lo = mid
             else:
                 hi = mid
@@ -747,135 +398,32 @@ def feasible_interval_pr(p_s: float, channels: ChannelRealization, k: int,
     return (0.0, float(ub))
 
 
+
 def alternate_optimize(channels: ChannelRealization, k: int, config: NetworkConfig,
-                       scenario: str, opts: SolverOptions | None = None,
-                       warm_start=None) -> RelayResult:
-    """Coordinate-ascent solve for one relay.  Routes zeta_hat == 0 instances
-    to solve_zeta_zero.  The objective trace is nondecreasing; the returned
-    allocation is exactly feasible.  ``warm_start`` may be a PowerAllocation
-    or a sequence of them; feasible warm points lower-bound the result."""
-    opts = opts or SolverOptions()
+                       scenario: str, warm_start=None) -> RelayResult:
+    """Envelope solve for one relay, any scenario and any leakage (zeta_hat
+    == 0 included).  The trace is nondecreasing; the returned allocation is
+    exactly feasible.  ``warm_start`` may be a PowerAllocation or a sequence
+    of them; feasible warm points lower-bound the result."""
     scenario = _norm_scenario(scenario)
     if scenario == HD_BASELINE:
-        return hd_baseline(channels, k, config, opts)
-    if model.zeta_hat(channels, k, config) == 0.0:
-        return solve_zeta_zero(channels, k, config, scenario, opts)
-    if config.i_bar_p == 0.0:
-        return _zero_result(k, scenario)
-    if scenario == NONCOHERENT:
-        scn = _NoncohScn(channels, k, config)
-        x0 = _initial_point(scn, opts, warm_start)
-        x, v, iters, conv, trace = _alternate(scn, x0, opts)
-        return _finish(scn, k, scenario, x, v, iters, conv, trace)
-    return _solve_coherent(channels, k, config, opts, warm_start)
-
-
-def _solve_coherent(channels, k, config, opts, warm_start):
-    scn = _CohScn(channels, k, config, constraint=opts.coherent_constraint)
-    warm = _warm_list(warm_start)
-    if opts.cross_check_noncoh:
-        # full-budget non-coherent solve: starting at (or above) its value
-        # keeps the coherent result >= the non-coherent one whenever that
-        # allocation is coherent-feasible
-        nc_scn = _NoncohScn(channels, k, config)
-        nc_x, _, _, _, _ = _alternate(nc_scn, _initial_point(nc_scn, opts, warm), opts)
-        warm = warm + [PowerAllocation(nc_x[0], nc_x[1])]
-    x0 = _initial_point(scn, opts, warm)
-    x, v, iters, conv, trace = _alternate(scn, x0, opts)
-    return _finish(scn, k, COHERENT, x, v, iters, conv, trace)
+        return hd_baseline(channels, k, config)
+    warm = [warm_start] if isinstance(warm_start, PowerAllocation) else warm_start
+    return _solve(channels, k, config, scenario, list(warm or ()))
 
 
 def solve_zeta_zero(channels: ChannelRealization, k: int, config: NetworkConfig,
-                    scenario: str, opts: SolverOptions | None = None) -> RelayResult:
-    """Zero-leakage special cases (zeta_hat == 0).
-
-    Non-coherent: the exact rate is increasing in BOTH powers, so coordinate
-    ascent plus the constraint-line refine lands on the global optimum of the
-    feasible polytope.  Coherent with zeta == 0: the interference depends on
-    the relay power only through the cancellation magnitude, giving a
-    closed-form feasible band per source power; a dense scan of band tops
-    plus golden polish is globally optimal (objective increasing in both
-    powers).  Coherent with zeta > 0 but a zero loop channel falls back to
-    the generic machinery.
-    """
-    opts = opts or SolverOptions()
+                    scenario: str) -> RelayResult:
+    """Zero-leakage (zeta_hat == 0) solve for the full-duplex scenarios: the
+    envelope search of ``alternate_optimize``, behind a check of the regime.
+    With no loop leakage the rate rises in both powers, so the optimum lies
+    on the interference constraint or the power box."""
     scenario = _norm_scenario(scenario)
     if model.zeta_hat(channels, k, config) != 0.0:
         raise ValueError("solve_zeta_zero requires zeta_hat == 0")
-    if config.i_bar_p == 0.0:
-        return _zero_result(k, scenario)
-    if scenario == NONCOHERENT:
-        scn = _NoncohScn(channels, k, config)
-        x0 = _initial_point(scn, opts, None)
-        x, v, iters, conv, trace = _alternate(scn, x0, opts)
-        return _finish(scn, k, scenario, x, v, iters, conv, trace)
-    if scenario != COHERENT:
+    if scenario not in (NONCOHERENT, COHERENT):
         raise ValueError(f"scenario must be noncoherent or coherent, got {scenario!r}")
-    if config.zeta > 0.0:
-        return _solve_coherent(channels, k, config, opts, None)
-    return _solve_coh_zeta_zero(channels, k, config, opts)
-
-
-def _solve_coh_zeta_zero(channels, k, config, opts):
-    """zeta == 0 coherent: per source power the feasible relay band is closed
-    form; sweep band tops (the objective rises in relay power)."""
-    scn = _CohScn(channels, k, config)
-    hsp = complex(channels.h_sp)
-    hsr = complex(channels.h_sr[k])
-    hrp_abs = abs(complex(channels.h_rp[k]))
-    s2r = config.sigma2_relay
-    noise = math.sqrt(s2r) * (1.0 + 1.0j) / math.sqrt(2.0)
-    sqrt_ibar = math.sqrt(config.i_bar_p)
-    cap_s, cap_r = scn.caps
-
-    def band_top(ps_sqrt):
-        """Highest feasible sqrt relay power at this sqrt source power (or None)."""
-        a_mag = abs(hsp) * ps_sqrt
-        g = 1.0 / math.sqrt(ps_sqrt ** 2 * scn.hsr2 + s2r)
-        c = abs(hsr * ps_sqrt + noise) * g * hrp_abs
-        if c == 0.0:
-            return cap_r if a_mag ** 2 <= _feas_cap(config.i_bar_p) else None
-        lo = max(0.0, (a_mag - sqrt_ibar) / c)
-        hi = min(cap_r, (a_mag + sqrt_ibar) / c)
-        return hi if hi >= lo - 1e-15 and hi >= 0.0 else None
-
-    s_grid = np.linspace(0.0, cap_s, 1025)
-    a_mag = abs(hsp) * s_grid
-    g = 1.0 / np.sqrt(s_grid ** 2 * scn.hsr2 + s2r)
-    c = np.abs(hsr * s_grid + noise) * g * hrp_abs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lo = np.maximum(0.0, (a_mag - sqrt_ibar) / np.where(c > 0, c, 1.0))
-        hi = np.minimum(cap_r, (a_mag + sqrt_ibar) / np.where(c > 0, c, 1.0))
-    deg = c == 0.0
-    if deg.any():
-        lo = np.where(deg, 0.0, lo)
-        hi = np.where(deg, np.where(a_mag ** 2 <= _feas_cap(config.i_bar_p),
-                                    cap_r, -1.0), hi)
-    feas = hi >= lo - 1e-15
-    r_top = np.where(feas, hi, 0.0)
-    vals = np.where(feas, scn._rate_powers(s_grid ** 2, r_top ** 2), -1.0)
-    j = int(np.argmax(vals))
-
-    def scan_val(t):
-        top = band_top(t)
-        if top is None:
-            return -1.0
-        return float(scn._rate_powers(t * t, top * top))
-
-    lo_b = float(s_grid[max(j - 1, 0)])
-    hi_b = float(s_grid[min(j + 1, len(s_grid) - 1)])
-    t_best, v_best = solve_1d_convex(scan_val, (lo_b, hi_b), tol=opts.var_tol)
-    if v_best < vals[j]:
-        t_best, v_best = float(s_grid[j]), float(vals[j])
-    top = band_top(t_best)
-    if top is None or v_best < 0.0:
-        return _zero_result(k, COHERENT)
-    x = (t_best, top)
-    if not scn.feasible(x):  # band formula vs tolerance edge: pull back
-        pulled = _bisect_axis_feasible(scn, (t_best, 0.0), 1, top)
-        x = pulled if pulled is not None else (0.0, 0.0)
-    rate = scn.value(x)
-    return _finish(scn, k, COHERENT, x, rate, 1, True, ((0, rate),))
+    return _solve(channels, k, config, scenario)
 
 
 def brute_force(channels: ChannelRealization, k: int, config: NetworkConfig,
@@ -887,31 +435,10 @@ def brute_force(channels: ChannelRealization, k: int, config: NetworkConfig,
     scenario = _norm_scenario(scenario)
     ps = np.linspace(0.0, config.p_s_max, grid_n)
     pr = np.linspace(0.0, config.p_r_max, grid_n)
-    grid_ps = ps[:, None]
-    grid_pr = pr[None, :]
-    hsr2 = float(np.abs(channels.h_sr[k]) ** 2)
-    hrd2 = float(np.abs(channels.h_rd[k]) ** 2)
-    hsp2 = float(np.abs(channels.h_sp) ** 2)
-    hrp2 = float(np.abs(channels.h_rp[k]) ** 2)
-    cap = _feas_cap(config.i_bar_p)
-    if scenario == NONCOHERENT:
-        feas = hsp2 * grid_ps + hrp2 * (1.0 + config.zeta) * grid_pr <= cap
-        rates = model._rate_exact_vals(grid_ps, grid_pr, hsr2, hrd2,
-                                       model.zeta_hat(channels, k, config),
-                                       config.sigma2_relay, config.sigma2_dest)
-    elif scenario == COHERENT:
-        feas = phase._interference_coh_vals(grid_ps, grid_pr, channels, k, config) <= cap
-        rates = model._rate_exact_vals(grid_ps, grid_pr, hsr2, hrd2,
-                                       model.zeta_hat(channels, k, config),
-                                       config.sigma2_relay, config.sigma2_dest)
-    else:
-        feas = (hsp2 * grid_ps <= cap) & (hrp2 * grid_pr <= cap)
-        rates = model._hd_rate_vals(grid_ps, grid_pr, hsr2, hrd2,
-                                    config.sigma2_relay, config.sigma2_dest)
-    masked = np.where(feas, rates, -1.0)
-    j = int(np.argmax(masked))
-    if masked.flat[j] < 0.0:
-        return _zero_result(k, scenario)
+    grid_ps, grid_pr = ps[:, None], pr[None, :]
+    masked = np.where(_feasible(grid_ps, grid_pr, channels, k, config, scenario),
+                      _rate_fn(channels, k, config, scenario)(grid_ps, grid_pr), -1.0)
+    j = int(np.argmax(masked))  # (0, 0) is always feasible, so masked.flat[j] >= 0
     alloc = PowerAllocation(float(ps[j // grid_n]), float(pr[j % grid_n]), feasible=True)
     rate = float(masked.flat[j])
     return RelayResult(relay=k, scenario=scenario, alloc=alloc, rate=rate,
@@ -919,20 +446,14 @@ def brute_force(channels: ChannelRealization, k: int, config: NetworkConfig,
                        iterations=0, converged=True, trace=((0, rate),))
 
 
-def hd_baseline(channels: ChannelRealization, k: int, config: NetworkConfig,
-                opts: SolverOptions | None = None) -> RelayResult:
+def hd_baseline(channels: ChannelRealization, k: int,
+                config: NetworkConfig) -> RelayResult:
     """Half-duplex comparator: two slots, no loop leakage, per-slot caps.
 
     The objective is increasing in both powers and the constraints decouple,
-    so the alternation reaches the box/cap corner in one outer iteration.
+    so the optimum is the box/cap corner, in closed form.
     """
-    opts = opts or SolverOptions()
-    if config.i_bar_p == 0.0:
-        return _zero_result(k, HD_BASELINE)
-    scn = _HdScn(channels, k, config)
-    x0 = _initial_point(scn, opts, None)
-    x, v, iters, conv, trace = _alternate(scn, x0, opts)
-    return _finish(scn, k, HD_BASELINE, x, v, iters, conv, trace)
+    return _solve(channels, k, config, HD_BASELINE)
 
 
 def select_relay(results) -> SolveResult:
@@ -947,25 +468,18 @@ def select_relay(results) -> SolveResult:
 
 
 def solve_network(channels: ChannelRealization, config: NetworkConfig,
-                  scenario: str, opts: SolverOptions | None = None,
-                  warm: SolveResult | None = None) -> SolveResult:
+                  scenario: str, warm: SolveResult | None = None) -> SolveResult:
     """Solve every relay and select.
 
     ``warm`` (one SolveResult or a sequence of them) recycles previous
-    per-relay allocations as starting candidates; ascent keeps each result at
-    least as good as its best feasible warm point, which makes interference
-    cap sweeps monotone and pins the coherent >= non-coherent ordering when
-    the non-coherent solution is passed in.
+    per-relay allocations as lower bounds: each result is at least as good as
+    its best feasible warm point, which makes interference cap sweeps
+    monotone.
     """
     scenario = _norm_scenario(scenario)
     warms = [warm] if isinstance(warm, SolveResult) else list(warm or [])
     warms = [w for w in warms if w is not None]
-    results = []
-    for k in range(channels.num_relays):
-        ws = [w.relays[k].alloc for w in warms]
-        if scenario == HD_BASELINE:
-            results.append(hd_baseline(channels, k, config, opts))
-        else:
-            results.append(alternate_optimize(channels, k, config, scenario, opts,
-                                              warm_start=ws or None))
-    return select_relay(results)
+    return select_relay(
+        alternate_optimize(channels, k, config, scenario,
+                           warm_start=[w.relays[k].alloc for w in warms])
+        for k in range(channels.num_relays))

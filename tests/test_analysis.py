@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -249,7 +250,7 @@ def test_convexified_curvatures_match_fd(stock_channels, stock_config):
 # ---------------------------------------------------------------------------
 
 def test_domain_errors(stock_channels, stock_config):
-    zero_cfg = fd.replace_config(stock_config, zeta=0.0)
+    zero_cfg = dataclasses.replace(stock_config, zeta=0.0)
     with pytest.raises(DomainError):
         fd.f_partials(0.0, 1.0, stock_channels, 0, stock_config)
     with pytest.raises(DomainError):

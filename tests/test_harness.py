@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +69,7 @@ def test_channel_digest_shape_and_determinism():
     assert d0 != d1
     assert len(d0) == 16 and int(d0, 16) >= 0
     # draws (hence digests) do not depend on leakage or caps
-    other = fd.replace_config(cfg, zeta=0.4, i_bar_p=1.0)
+    other = dataclasses.replace(cfg, zeta=0.4, i_bar_p=1.0)
     assert channel_digest(fd.sample_channels(other, seed=0)) == d0
 
 
@@ -129,7 +130,7 @@ def test_optimality_gap_rows():
     assert len(rows) == 2 * 2
     for r in rows:
         assert r.oracle_rate is not None and r.gap_pct is not None
-        assert r.gap_pct <= 3.0  # accurate profile against a 101-point lattice
+        assert r.gap_pct <= 3.0  # envelope solve against a 101-point lattice
         assert r.oracle_rate >= 0.0
 
 
@@ -141,8 +142,7 @@ def test_fixed_power_sweeps(name):
                           sweep_db_list=(-5.0, 0.0, 5.0))
     rows = run_experiment(spec, cfg)
     assert len(rows) == 2 * 3
-    sweep_cfg = fd.replace_config(cfg, zeta=0.4,
-                                  i_bar_p=fd.db_to_linear(8.0))
+    sweep_cfg = dataclasses.replace(cfg, zeta=0.4, i_bar_p=fd.db_to_linear(8.0))
     for r in rows:
         assert r.scenario == UNCONSTRAINED
         assert r.fixed_p_db == 5.0

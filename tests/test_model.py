@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdrelay as fd
-from fdrelay import model
 
 
 def make_config(**overrides):
@@ -26,7 +25,7 @@ def unit_channels(num_relays=1, zeta_cfg=None, **cfg_overrides):
                                var_sp=1.0, var_rp=np.ones(num_relays))
     cfg = make_config(num_relays=num_relays, **cfg_overrides)
     if zeta_cfg is not None:
-        cfg = model.replace_config(cfg, zeta=zeta_cfg)
+        cfg = dataclasses.replace(cfg, zeta=zeta_cfg)
     return ch, cfg
 
 
@@ -60,6 +59,16 @@ def test_db_round_trip(x):
     dict(var_sr=-1.0),
     dict(var_sp_range=(1.0, 0.8)),   # reversed
     dict(var_rp_range=(-0.1, 1.0)),
+    dict(p_s_max=math.inf),
+    dict(p_r_max=math.inf),
+    dict(p_s_max=math.nan),
+    dict(zeta=math.inf),
+    dict(i_bar_p=math.nan),
+    dict(sigma2_dest=math.inf),
+    dict(sigma2_pu=math.inf),
+    dict(var_rr=math.inf),
+    dict(var_sp_range=(0.8, math.inf)),
+    dict(sampling_freq=math.inf),
 ])
 def test_config_validation_rejects(bad):
     with pytest.raises(fd.ConfigError):
@@ -73,11 +82,11 @@ def test_config_zero_interference_cap_is_legal():
 
 def test_replace_config_is_nondestructive():
     cfg = make_config()
-    cfg2 = model.replace_config(cfg, zeta=0.4, i_bar_p=2.0)
+    cfg2 = dataclasses.replace(cfg, zeta=0.4, i_bar_p=2.0)
     assert cfg2.zeta == 0.4 and cfg2.i_bar_p == 2.0
     assert cfg.zeta == 0.001 and cfg.i_bar_p == 10.0
     with pytest.raises(fd.ConfigError):
-        model.replace_config(cfg, zeta=-1.0)
+        dataclasses.replace(cfg, zeta=-1.0)  # __post_init__ re-validates
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +222,7 @@ def test_coh_objective_is_sqrt_reparameterization(stock_channels, stock_config):
 
 
 def test_hd_rate_is_half_of_leakage_free_exact(stock_channels, stock_config):
-    cfg0 = model.replace_config(stock_config, zeta=0.0)
+    cfg0 = dataclasses.replace(stock_config, zeta=0.0)
     alloc = fd.PowerAllocation(8.0, 3.0)
     for k in range(stock_config.num_relays):
         hd = fd.rate_hd(alloc, stock_channels, k, stock_config)

@@ -1,15 +1,29 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fdrelay as fd
-from fdrelay import COHERENT, HD_BASELINE, NONCOHERENT, EmptyInterval, Infeasible
+from fdrelay import COHERENT, HD_BASELINE, NONCOHERENT, EmptyInterval, Infeasible, harness
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def cap_slack(config):
     return config.i_bar_p * (1 + 1e-9) + 1e-12
+
+
+def interference(scenario, alloc, channels, k, config):
+    """The scenario's exact constraint value; per-slot maximum for half duplex."""
+    if scenario == NONCOHERENT:
+        return fd.interference_noncoh(alloc, channels, k, config)
+    if scenario == COHERENT:
+        return fd.interference_coh(alloc, channels, k, config)
+    return max(abs(channels.h_sp) ** 2 * alloc.p_s,
+               abs(channels.h_rp[k]) ** 2 * alloc.p_r)
 
 
 # ---------------------------------------------------------------------------
@@ -54,32 +68,8 @@ def test_solve_1d_concave_quadratics(vertex, curv, hi):
 
 
 # ---------------------------------------------------------------------------
-# options and scenario names
+# scenario names
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("bad", [
-    {"max_outer_iters": 0},
-    {"obj_tol": 0.0},
-    {"var_tol": -1.0},
-    {"grid_n": 1},
-    {"step_grid": 1},
-    {"init_strategy": "warpdrive"},
-    {"init_strategy": "custom"},          # custom_init missing
-    {"order": "sideways"},
-    {"coherent_constraint": "wishful"},
-])
-def test_solver_options_validation(bad):
-    with pytest.raises(ValueError):
-        fd.SolverOptions(**bad)
-
-
-def test_accurate_profile():
-    opts = fd.SolverOptions().accurate()
-    assert opts.step_grid == 257
-    assert opts.frontier_grid == 257
-    assert opts.polish_iters == 60
-    assert opts.grid_n == fd.SolverOptions().grid_n  # untouched fields carry over
-
 
 @pytest.mark.parametrize("alias,canonical", [
     ("noncoh", NONCOHERENT), ("non-coherent", NONCOHERENT),
@@ -143,13 +133,13 @@ def test_coherent_interval_points_exactly_feasible(stock_channels, stock_config)
 
 
 def test_interval_source_alone_infeasible(stock_channels, stock_config):
-    tight = fd.replace_config(stock_config, i_bar_p=1e-6)
+    tight = dataclasses.replace(stock_config, i_bar_p=1e-6)
     with pytest.raises(Infeasible):
         fd.feasible_interval_pr(50.0, stock_channels, 0, tight, NONCOHERENT)
 
 
 # ---------------------------------------------------------------------------
-# alternating solver behavior
+# envelope solver behavior
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("scenario", [NONCOHERENT, COHERENT])
@@ -173,10 +163,9 @@ def test_traces_rates_feasibility(scenario, stock_config):
 
 @pytest.mark.parametrize("scenario", [NONCOHERENT, COHERENT, HD_BASELINE])
 def test_solver_matches_lattice_oracle(scenario, stock_config):
-    opts = fd.SolverOptions().accurate()
     for seed in range(6):
         channels = fd.sample_channels(stock_config, seed=30 + seed)
-        res = fd.alternate_optimize(channels, 0, stock_config, scenario, opts)
+        res = fd.alternate_optimize(channels, 0, stock_config, scenario)
         oracle = fd.brute_force(channels, 0, stock_config, scenario, grid_n=201)
         assert res.rate >= oracle.rate * (1 - 0.01)
 
@@ -204,16 +193,23 @@ def test_zero_interference_budget(stock_channels):
         assert res.rate == 0.0 and res.converged
 
 
-def test_init_and_order_variants(stock_channels, stock_config):
-    base = fd.alternate_optimize(stock_channels, 2, stock_config, NONCOHERENT)
-    for opts in (fd.SolverOptions(order="ps-first"),
-                 fd.SolverOptions(init_strategy="midpoint"),
-                 fd.SolverOptions(init_strategy="custom", custom_init=(1.0, 1.0))):
-        res = fd.alternate_optimize(stock_channels, 2, stock_config,
-                                    NONCOHERENT, opts)
-        i = fd.interference_noncoh(res.alloc, stock_channels, 2, stock_config)
-        assert i <= cap_slack(stock_config)
-        assert res.rate == pytest.approx(base.rate, rel=2e-2)
+def test_unlimited_cap_solves_to_power_box_optimum():
+    # i_bar_p = inf means no interference cap: every scenario then solves the
+    # power box alone, where the rate rises in p_s, so p_s sits at its cap and
+    # p_r at the best point of the top edge (interior under strong leakage)
+    base = harness.load_config(CONFIG_DIR / "strong-leakage.cfg")
+    edge = np.linspace(0.0, base.p_r_max, 4097)
+    for zeta in (0.001, base.zeta):
+        cfg = dataclasses.replace(base, zeta=zeta, i_bar_p=math.inf)
+        channels = fd.sample_channels(cfg, seed=3)
+        for scenario in (NONCOHERENT, COHERENT, HD_BASELINE):
+            res = fd.alternate_optimize(channels, 0, cfg, scenario)
+            assert res.alloc.p_s == cfg.p_s_max
+            rate_at = fd.rate_hd if scenario == HD_BASELINE else fd.rate_exact
+            best_edge = max(rate_at(fd.PowerAllocation(cfg.p_s_max, float(p)),
+                                    channels, 0, cfg) for p in edge)
+            assert res.rate >= best_edge - 1e-9
+            assert res.rate >= fd.brute_force(channels, 0, cfg, scenario).rate - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +217,7 @@ def test_init_and_order_variants(stock_channels, stock_config):
 # ---------------------------------------------------------------------------
 
 def test_zeta_zero_routing(stock_channels, stock_config):
-    cfg0 = fd.replace_config(stock_config, zeta=0.0)
+    cfg0 = dataclasses.replace(stock_config, zeta=0.0)
     via_alternate = fd.alternate_optimize(stock_channels, 0, cfg0, NONCOHERENT)
     direct = fd.solve_zeta_zero(stock_channels, 0, cfg0, NONCOHERENT)
     assert via_alternate.rate == pytest.approx(direct.rate, rel=1e-12)
@@ -232,7 +228,7 @@ def test_zeta_zero_routing(stock_channels, stock_config):
 def test_zeta_zero_noncoh_saturates_constraint(stock_config):
     # with no loop leakage the exact rate rises in both powers, so the
     # optimum sits on the interference line or the power box
-    cfg0 = fd.replace_config(stock_config, zeta=0.0)
+    cfg0 = dataclasses.replace(stock_config, zeta=0.0)
     for seed in range(6):
         channels = fd.sample_channels(cfg0, seed=90 + seed)
         res = fd.solve_zeta_zero(channels, 0, cfg0, NONCOHERENT)
@@ -246,7 +242,7 @@ def test_zeta_zero_noncoh_saturates_constraint(stock_config):
 
 
 def test_zeta_zero_coherent_band_solver(stock_config):
-    cfg0 = fd.replace_config(stock_config, zeta=0.0)
+    cfg0 = dataclasses.replace(stock_config, zeta=0.0)
     for seed in range(6):
         channels = fd.sample_channels(cfg0, seed=120 + seed)
         res = fd.solve_zeta_zero(channels, 0, cfg0, COHERENT)
@@ -323,7 +319,8 @@ def test_solve_network_warm_forms(stock_channels, stock_config):
 
 
 def test_coherent_dominates_noncoherent(stock_config):
-    # phase alignment can only relax the interference constraint
+    # the coherent solve compares the non-coherent optimum in, so it can do no
+    # worse wherever that allocation is coherent-feasible (it is on these draws)
     for seed in range(12):
         channels = fd.sample_channels(stock_config, seed=200 + seed)
         for k in range(stock_config.num_relays):
@@ -331,3 +328,53 @@ def test_coherent_dominates_noncoherent(stock_config):
             co = fd.alternate_optimize(channels, k, stock_config, COHERENT,
                                        warm_start=nc.alloc)
             assert co.rate >= nc.rate - 1e-6
+
+
+def test_coherent_can_trail_noncoherent_when_its_optimum_is_infeasible():
+    # phase alignment does not only relax the constraint: the relay's
+    # forwarded phasor carries a fixed-phase noise proxy, so the aligned
+    # interference (|a| - |b|)^2 can exceed the non-coherent sum of powers
+    cfg = harness.load_config(CONFIG_DIR / "single-relay.cfg")  # ibar = 10 dB
+    channels = fd.sample_channels(cfg, seed=220019)
+    nc = fd.alternate_optimize(channels, 0, cfg, NONCOHERENT)
+    co = fd.alternate_optimize(channels, 0, cfg, COHERENT, warm_start=nc.alloc)
+    assert fd.interference_coh(nc.alloc, channels, 0, cfg) > cap_slack(cfg)
+    assert fd.interference_coh(co.alloc, channels, 0, cfg) <= cap_slack(cfg)
+    assert co.rate < nc.rate
+    assert co.rate >= fd.brute_force(channels, 0, cfg, COHERENT, grid_n=201).rate
+
+
+def test_coherent_thin_feasible_band():
+    # at a near-zero cap the coherent feasible set is a thin band around
+    # |a| = |b|; bracketing the gap's sign change finds it, a grid mask does not
+    cfg = dataclasses.replace(harness.load_config(CONFIG_DIR / "stock8.cfg"),
+                              i_bar_p=1e-12)
+    channels = fd.sample_channels(cfg, seed=0)
+    for k in range(3):
+        res = fd.alternate_optimize(channels, k, cfg, COHERENT)
+        assert res.rate > 0.0
+        assert fd.interference_coh(res.alloc, channels, k, cfg) <= cap_slack(cfg)
+        assert res.rate >= fd.brute_force(channels, k, cfg, COHERENT).rate
+
+
+def _log10_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p_s_max=_log10_uniform(-9, 9), p_r_max=_log10_uniform(-9, 9),
+       i_bar_p=_log10_uniform(-12, 6),
+       zeta=st.one_of(st.just(0.0), _log10_uniform(-6, 6)),
+       scenario=st.sampled_from([NONCOHERENT, COHERENT, HD_BASELINE]),
+       seed=st.integers(0, 10_000))
+def test_envelope_invariants_over_extreme_ranges(p_s_max, p_r_max, i_bar_p, zeta,
+                                                 scenario, seed):
+    cfg = fd.NetworkConfig(num_relays=1, zeta=zeta, p_s_max=p_s_max,
+                           p_r_max=p_r_max, i_bar_p=i_bar_p)
+    channels = fd.sample_channels(cfg, seed=seed)
+    res = fd.alternate_optimize(channels, 0, cfg, scenario)
+    assert interference(scenario, res.alloc, channels, 0, cfg) <= cap_slack(cfg)
+    assert res.rate >= fd.brute_force(channels, 0, cfg, scenario, grid_n=51).rate - 1e-9
+    wider = dataclasses.replace(cfg, i_bar_p=10.0 * i_bar_p)
+    grown = fd.alternate_optimize(channels, 0, wider, scenario, warm_start=res.alloc)
+    assert grown.rate >= res.rate - 1e-12 * max(1.0, res.rate)
