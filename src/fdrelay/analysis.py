@@ -1,6 +1,6 @@
 """Curvature analysis of the surrogate objectives, in closed form.
 
-Alternating power control leans on two structural facts: each surrogate
+Two structural facts shape the power-control problem: each surrogate
 objective is CONVEX-reciprocal in each power coordinate separately (so every
 1-D subproblem is exactly solvable), yet the JOINT problem is not convex --
 below explicit power thresholds the Hessian of the reciprocal objective has

@@ -12,9 +12,9 @@ The feasibility analysis of the power subproblems replaces ``|B|`` with the
 bound ``sqrt(3) * p_r_sqrt * |h_rp|`` (a three-term Cauchy-Schwarz estimate of
 the relay's composite amplitude) and freezes the alignment phase, which turns
 the constraint into a convex quadratic in square-root powers -- see
-``ConvexifiedConstraint``; ``solver.feasible_interval_pr`` shapes its coherent
-interval with it.  The solver's envelope search works on the exact signed
-gap |a| - |b| instead (``_amp_gap_vals``), whose square is the interference.
+``ConvexifiedConstraint``.  The solver's envelope search works on the exact
+signed gap |a| - |b| instead (``_amp_gap_vals``), whose square is the
+interference.
 """
 
 from __future__ import annotations

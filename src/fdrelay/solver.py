@@ -15,10 +15,14 @@ max over p_r of R(ps_top(p_r), p_r).  ps_top is, per scenario:
   (``phase._amp_gap_vals``), bracketed for a whole p_r grid at once by
   scans of the gap's sign, which also finds feasible bands thinner than
   any grid cell; the winning column's bracket is then shrunk to a point.
+  Where the winning column tops out at P_s, the edge p_s = P_s stops being
+  feasible somewhere before the next column; nested scans along p_r find
+  that kink, and its last feasible point is compared in.
 
 The p_r search is a sqrt-spaced grid, then zoom rounds around the argmax.
-Warm points and, for the coherent scenario, the non-coherent optimum are
-compared in as lower bounds, so cap sweeps are monotone by construction.
+Warm points are compared in as lower bounds, so cap sweeps are monotone by
+construction, and a coherent solve given the non-coherent result as its warm
+start is at least as good wherever that point is coherent-feasible.
 Every returned allocation satisfies the box and the scenario's EXACT
 interference constraint (within 1e-9 relative).
 """
@@ -34,20 +38,14 @@ from . import model, phase
 from .model import ChannelRealization, NetworkConfig, PowerAllocation
 
 __all__ = [
-    "Infeasible",
-    "EmptyInterval",
     "RelayResult",
     "SolveResult",
     "NONCOHERENT",
     "COHERENT",
     "HD_BASELINE",
-    "solve_1d_convex",
-    "feasible_interval_pr",
     "alternate_optimize",
-    "solve_zeta_zero",
     "brute_force",
     "select_relay",
-    "hd_baseline",
     "solve_network",
 ]
 
@@ -61,8 +59,6 @@ _SCENARIO_ALIASES = {
     "hd-baseline": HD_BASELINE, "hd": HD_BASELINE, "half-duplex": HD_BASELINE,
 }
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 _PR_GRID = 129          # sqrt-spaced relay powers in the first envelope scan
 _ZOOM_GRID = 33         # relay powers per zoom round around the argmax
 _ZOOM_ROUNDS = 2
@@ -70,14 +66,6 @@ _COLUMN_SCANS = (33, 17, 17)  # per coherent column: sqrt p_s grid, 2 refinement
 _SHRINK_GRID = 257      # points per bracket-shrink scan on the winning column
 _SHRINK_ROUNDS = 3      # shrink scans always run; more (up to the max) until
 _SHRINK_ROUNDS_MAX = 8  # the bracket's lower end is feasible
-
-
-class Infeasible(ValueError):
-    """The constraint set is empty for the requested slice."""
-
-
-class EmptyInterval(ValueError):
-    """A 1-D solve was asked to search an empty interval."""
 
 
 def _norm_scenario(scenario: str) -> str:
@@ -96,7 +84,6 @@ class RelayResult:
     scenario: str
     alloc: PowerAllocation
     rate: float            # exact achievable rate at alloc (always the reported figure)
-    surrogate_obj: float   # the scenario's surrogate objective at alloc
     iterations: int        # zoom rounds of the envelope search
     converged: bool
     trace: tuple[tuple[int, float], ...]  # (round, best rate so far) pairs
@@ -118,59 +105,10 @@ class SolveResult:
     def rate(self) -> float:
         return self.best.rate
 
-    @property
-    def trace(self) -> tuple[tuple[int, float], ...]:
-        return self.best.trace
-
-
-# ----------------------------------------------------------------------------
-# 1-D golden-section solve (public contract).
-# ----------------------------------------------------------------------------
-
-def solve_1d_convex(objective, interval: tuple[float, float],
-                    tol: float = 1e-8) -> tuple[float, float]:
-    """Maximize a unimodal scalar objective on a closed interval.
-
-    Golden-section search, then the interval endpoints are compared in so a
-    boundary maximizer is returned exactly.  Returns (argmax, value).
-    Raises EmptyInterval when the interval is reversed.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if hi < lo - 1e-12 * max(1.0, abs(lo)):
-        raise EmptyInterval(f"interval [{lo!r}, {hi!r}] is empty")
-    hi = max(hi, lo)
-    a, b = lo, hi
-    if b - a > tol:
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        fc, fd = objective(c), objective(d)
-        for _ in range(300):
-            if b - a <= tol:
-                break
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - _INVPHI * (b - a)
-                fc = objective(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _INVPHI * (b - a)
-                fd = objective(d)
-    x_mid = 0.5 * (a + b)
-    candidates = [(x_mid, objective(x_mid)), (lo, objective(lo)), (hi, objective(hi))]
-    best_x, best_v = candidates[0]
-    for x, v in candidates[1:]:
-        if v > best_v:
-            best_x, best_v = x, v
-    return best_x, best_v
-
 
 # ----------------------------------------------------------------------------
 # The envelope engine.
 # ----------------------------------------------------------------------------
-
-def _feas_cap(ibar: float) -> float:
-    return ibar * (1.0 + 1e-9) + 1e-12
-
 
 def _gains(channels: ChannelRealization, k: int):
     """|h_sr|^2, |h_rd|^2, |h_sp|^2, |h_rp|^2 of relay k."""
@@ -195,7 +133,7 @@ def _rate_fn(channels, k, config, scenario):
 
 def _feasible(ps, pr, channels, k, config, scenario):
     """Box and EXACT scenario constraint, elementwise, with the solver's slack."""
-    cap = _feas_cap(config.i_bar_p)
+    cap = config.i_bar_p * (1.0 + 1e-9) + 1e-12
     _, _, hsp2, hrp2 = _gains(channels, k)
     if scenario == NONCOHERENT:
         ok = hsp2 * ps + hrp2 * (1.0 + config.zeta) * pr <= cap
@@ -213,17 +151,18 @@ def _envelope(top, rate, pr_hi):
     ``top`` maps a p_r array to (ps_lo, ps_hi) arrays: ps_lo is at most
     ps_top (negative where the column has no feasible point) and ps_hi bounds
     it from above (equal to ps_lo where ps_lo is exact).  Returns
-    ((value, p_r, ps_lo, ps_hi) of the best column, trace).
+    ((value, p_r, ps_lo, ps_hi, next p_r on its grid) of the best column, trace).
     """
     u = np.linspace(0.0, math.sqrt(pr_hi), _PR_GRID)
-    best, trace = (-1.0, 0.0, -1.0, -1.0), []
+    best, trace = (-1.0, 0.0, -1.0, -1.0, 0.0), []
     for rnd in range(_ZOOM_ROUNDS + 1):
         pr = u * u
         ps_lo, ps_hi = top(pr)
         vals = np.where(ps_lo >= 0.0, rate(np.maximum(ps_lo, 0.0), pr), -1.0)
         j = int(np.argmax(vals))
         if vals[j] > best[0]:
-            best = (float(vals[j]), float(pr[j]), float(ps_lo[j]), float(ps_hi[j]))
+            best = (float(vals[j]), float(pr[j]), float(ps_lo[j]), float(ps_hi[j]),
+                    float(pr[min(j + 1, len(pr) - 1)]))
         trace.append((rnd, max(best[0], 0.0)))
         u = np.linspace(u[max(j - 1, 0)], u[min(j + 1, len(u) - 1)], _ZOOM_GRID)
     return best, trace
@@ -247,6 +186,19 @@ def _shrink(gap, pr, lo, hi, root, points):
     return t[rows, j], t[rows, np.minimum(j + 1, points - 1)], f[rows, j]
 
 
+def _last_feasible(ok, a, b):
+    """Largest x in [a, b] with ok(x), to 1/(_SHRINK_GRID - 1)^_SHRINK_ROUNDS of
+    b - a by nested scans, where ok holds from a up to one crossing."""
+    for _ in range(_SHRINK_ROUNDS):
+        x = np.linspace(a, b, _SHRINK_GRID)
+        hits = np.flatnonzero(ok(x))
+        if hits.size == 0:
+            break
+        j = int(hits[-1])
+        a, b = float(x[j]), float(x[min(j + 1, len(x) - 1)])
+    return a
+
+
 def _best_point(channels, k, config, scenario, warm):
     """(p_s, p_r, trace) of the best feasible point found for relay k."""
     _, _, hsp2, hrp2 = _gains(channels, k)
@@ -267,7 +219,7 @@ def _best_point(channels, k, config, scenario, warm):
         kink = (ibar - hsp2 * ps_max) / denom_r if denom_r > 0.0 else -1.0
         if 0.0 < kink < pr_hi:  # the envelope's one kink: ps_top leaves P_s
             cands.append((float(top(np.array(kink))[0]), kink))
-        (_, pr, ps, _), trace = _envelope(top, rate, pr_hi)
+        (_, pr, ps, _, _), trace = _envelope(top, rate, pr_hi)
     else:
         def gap(ps, pr):
             return phase._amp_gap_vals(ps, pr, channels, k, config)
@@ -279,9 +231,11 @@ def _best_point(channels, k, config, scenario, warm):
             return np.where(f_lo <= 0.0, lo * lo, -1.0), hi * hi
 
         root = math.sqrt(ibar)
-        cands.append(_best_point(channels, k, config, NONCOHERENT, warm)[:2])
-        (_, pr, ps_lo, ps_hi), trace = _envelope(top, rate, pr_max)
+        (_, pr, ps_lo, ps_hi, pr_next), trace = _envelope(top, rate, pr_max)
         ps, lo, hi = max(ps_lo, 0.0), np.sqrt([ps_lo]), np.sqrt([ps_hi])
+        if ps_lo == ps_hi:  # the column tops out at P_s: where does that edge end?
+            cands.append((ps_max, _last_feasible(
+                lambda x: _feasible(ps_max, x, channels, k, config, COHERENT), pr, pr_next)))
         for rnd in range(_SHRINK_ROUNDS_MAX if ps_lo < ps_hi else 0):
             lo, hi, f_lo = _shrink(gap, np.array([pr]), lo, hi, root, _SHRINK_GRID)
             if f_lo[0] >= -2.0 * root:  # lo is above the lower level too
@@ -296,17 +250,6 @@ def _best_point(channels, k, config, scenario, warm):
     return best + (tuple((i, min(v, best_v)) for i, v in trace) + ((len(trace), best_v),),)
 
 
-def _surrogate_at(alloc, channels, k, config, scenario):
-    if scenario == HD_BASELINE:
-        hsr2, hrd2, _, _ = _gains(channels, k)
-        x = alloc.p_r * hrd2 / config.sigma2_dest
-        y = alloc.p_s * hsr2 / config.sigma2_relay
-        return float(x * y / (1.0 + x + y))
-    if model.zeta_hat(channels, k, config) == 0.0:
-        return model.rate_noncoh_obj_zeta_zero(alloc, channels, k, config)
-    return model.rate_noncoh_obj(alloc, channels, k, config)
-
-
 def _solve(channels, k, config, scenario, warm=()):
     # a zero cap admits only the all-zero allocation
     ps, pr, trace = ((0.0, 0.0, ((0, 0.0),)) if config.i_bar_p == 0.0
@@ -315,7 +258,6 @@ def _solve(channels, k, config, scenario, warm=()):
     rate = float(model.rate_hd(alloc, channels, k, config) if scenario == HD_BASELINE
                  else model.rate_exact(alloc, channels, k, config))
     return RelayResult(relay=k, scenario=scenario, alloc=alloc, rate=rate,
-                       surrogate_obj=_surrogate_at(alloc, channels, k, config, scenario),
                        iterations=_ZOOM_ROUNDS if len(trace) > 1 else 0,
                        converged=True, trace=trace)
 
@@ -324,81 +266,6 @@ def _solve(channels, k, config, scenario, warm=()):
 # Public solver ops.
 # ----------------------------------------------------------------------------
 
-def _quadratic_feasible_ub(alpha: float, beta: float, gamma: float,
-                           cap: float) -> float | None:
-    """Largest t in [0, cap] with alpha t^2 + beta t + gamma <= 0 and [0, t] feasible."""
-    if gamma > 1e-12:
-        return None  # even t = 0 violates
-    if alpha <= 0.0:
-        if beta <= 0.0:
-            return cap
-        return min(cap, max(0.0, -gamma / beta))
-    disc = beta * beta - 4.0 * alpha * gamma
-    if disc < 0.0:
-        return None
-    t_hi = (-beta + math.sqrt(disc)) / (2.0 * alpha)
-    return min(cap, max(0.0, t_hi))
-
-
-def feasible_interval_pr(p_s: float, channels: ChannelRealization, k: int,
-                         config: NetworkConfig, scenario: str,
-                         frozen=None) -> tuple[float, float]:
-    """Feasible interval for the relay variable at fixed source power.
-
-    Non-coherent: [0, min(cap, (ibar - |h_sp|^2 p_s)/(|h_rp|^2 (1+zeta)))] in
-    POWER units.  Coherent: [0, ub] in SQRT-POWER units, where ub comes from
-    the frozen convexified quadratic (frozen at (p_s, p_r_max) unless given)
-    and is then clipped to the first exact-constraint crossing by bisection,
-    so every point of the returned interval is exactly feasible.
-
-    Raises Infeasible when the source alone already violates the cap.
-    """
-    scenario = _norm_scenario(scenario)
-    hsp2 = float(np.abs(channels.h_sp) ** 2)
-    hrp2 = float(np.abs(channels.h_rp[k]) ** 2)
-    ibar = config.i_bar_p
-    if hsp2 * p_s > _feas_cap(ibar):
-        raise Infeasible(f"source power {p_s!r} alone exceeds the interference cap")
-    if scenario == NONCOHERENT:
-        rem = max(ibar - hsp2 * p_s, 0.0)
-        denom = hrp2 * (1.0 + config.zeta)
-        ub = config.p_r_max if denom == 0.0 else min(config.p_r_max, rem / denom)
-        return (0.0, float(ub))
-    if scenario == HD_BASELINE:
-        ub = config.p_r_max if hrp2 == 0.0 else min(config.p_r_max, ibar / hrp2)
-        return (0.0, float(ub))
-
-    # coherent: quadratic interval in sqrt coords, then exact-constraint clip
-    if frozen is None:
-        frozen = phase.freeze_constraint(PowerAllocation(p_s, config.p_r_max),
-                                         channels, k, config)
-    hsp = complex(channels.h_sp)
-    sps = math.sqrt(p_s)
-    alpha = frozen.f1 ** 2 + frozen.f2 ** 2
-    beta = 2.0 * (hsp.real * sps * frozen.f1 + hsp.imag * sps * frozen.f2)
-    gamma = hsp2 * p_s - ibar
-    cap = math.sqrt(config.p_r_max)
-    ub = _quadratic_feasible_ub(alpha, beta, min(gamma, 0.0), cap)
-    if ub is None:
-        ub = 0.0
-
-    grid = np.linspace(0.0, ub, 1025)
-    ivals = phase._interference_coh_vals(p_s, grid ** 2, channels, k, config)
-    bad = np.nonzero(ivals > _feas_cap(ibar))[0]
-    if bad.size:
-        lo, hi = float(grid[max(bad[0] - 1, 0)]), float(grid[bad[0]])
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if phase._interference_coh_vals(p_s, mid * mid, channels, k, config) \
-                    <= _feas_cap(ibar):
-                lo = mid
-            else:
-                hi = mid
-        ub = lo
-    return (0.0, float(ub))
-
-
-
 def alternate_optimize(channels: ChannelRealization, k: int, config: NetworkConfig,
                        scenario: str, warm_start=None) -> RelayResult:
     """Envelope solve for one relay, any scenario and any leakage (zeta_hat
@@ -406,24 +273,8 @@ def alternate_optimize(channels: ChannelRealization, k: int, config: NetworkConf
     exactly feasible.  ``warm_start`` may be a PowerAllocation or a sequence
     of them; feasible warm points lower-bound the result."""
     scenario = _norm_scenario(scenario)
-    if scenario == HD_BASELINE:
-        return hd_baseline(channels, k, config)
     warm = [warm_start] if isinstance(warm_start, PowerAllocation) else warm_start
     return _solve(channels, k, config, scenario, list(warm or ()))
-
-
-def solve_zeta_zero(channels: ChannelRealization, k: int, config: NetworkConfig,
-                    scenario: str) -> RelayResult:
-    """Zero-leakage (zeta_hat == 0) solve for the full-duplex scenarios: the
-    envelope search of ``alternate_optimize``, behind a check of the regime.
-    With no loop leakage the rate rises in both powers, so the optimum lies
-    on the interference constraint or the power box."""
-    scenario = _norm_scenario(scenario)
-    if model.zeta_hat(channels, k, config) != 0.0:
-        raise ValueError("solve_zeta_zero requires zeta_hat == 0")
-    if scenario not in (NONCOHERENT, COHERENT):
-        raise ValueError(f"scenario must be noncoherent or coherent, got {scenario!r}")
-    return _solve(channels, k, config, scenario)
 
 
 def brute_force(channels: ChannelRealization, k: int, config: NetworkConfig,
@@ -442,18 +293,7 @@ def brute_force(channels: ChannelRealization, k: int, config: NetworkConfig,
     alloc = PowerAllocation(float(ps[j // grid_n]), float(pr[j % grid_n]), feasible=True)
     rate = float(masked.flat[j])
     return RelayResult(relay=k, scenario=scenario, alloc=alloc, rate=rate,
-                       surrogate_obj=_surrogate_at(alloc, channels, k, config, scenario),
                        iterations=0, converged=True, trace=((0, rate),))
-
-
-def hd_baseline(channels: ChannelRealization, k: int,
-                config: NetworkConfig) -> RelayResult:
-    """Half-duplex comparator: two slots, no loop leakage, per-slot caps.
-
-    The objective is increasing in both powers and the constraints decouple,
-    so the optimum is the box/cap corner, in closed form.
-    """
-    return _solve(channels, k, config, HD_BASELINE)
 
 
 def select_relay(results) -> SolveResult:

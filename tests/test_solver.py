@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fdrelay as fd
-from fdrelay import COHERENT, HD_BASELINE, NONCOHERENT, EmptyInterval, Infeasible, harness
+from fdrelay import COHERENT, HD_BASELINE, NONCOHERENT, harness
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -27,47 +27,6 @@ def interference(scenario, alloc, channels, k, config):
 
 
 # ---------------------------------------------------------------------------
-# 1-D golden-section search
-# ---------------------------------------------------------------------------
-
-def test_solve_1d_interior_quadratic():
-    x, v = fd.solve_1d_convex(lambda t: -(t - 3.0) ** 2, (0.0, 10.0))
-    assert x == pytest.approx(3.0, abs=1e-6)
-    assert v == pytest.approx(0.0, abs=1e-12)
-
-
-def test_solve_1d_boundary_maximizer_is_exact():
-    x, v = fd.solve_1d_convex(lambda t: t, (0.0, 5.0))
-    assert x == 5.0 and v == 5.0
-    x, v = fd.solve_1d_convex(lambda t: -t, (2.0, 5.0))
-    assert x == 2.0 and v == -2.0
-
-
-def test_solve_1d_degenerate_interval():
-    x, v = fd.solve_1d_convex(lambda t: t * t, (2.0, 2.0))
-    assert x == 2.0 and v == 4.0
-
-
-def test_solve_1d_reversed_interval_raises():
-    with pytest.raises(EmptyInterval):
-        fd.solve_1d_convex(lambda t: t, (1.0, 0.5))
-
-
-@settings(max_examples=80, deadline=None)
-@given(vertex=st.floats(-5.0, 15.0), curv=st.floats(0.1, 50.0),
-       hi=st.floats(1.0, 10.0))
-def test_solve_1d_concave_quadratics(vertex, curv, hi):
-    best = min(max(vertex, 0.0), hi)  # clipped vertex is the true argmax
-
-    def obj(t):
-        return -curv * (t - vertex) ** 2
-
-    x, v = fd.solve_1d_convex(obj, (0.0, hi))
-    assert v >= obj(best) - 1e-7 * max(1.0, abs(obj(best)))
-    assert abs(x - best) <= 1e-5 * max(1.0, hi)
-
-
-# ---------------------------------------------------------------------------
 # scenario names
 # ---------------------------------------------------------------------------
 
@@ -84,58 +43,6 @@ def test_scenario_aliases(alias, canonical, stock_channels, stock_config):
 def test_unknown_scenario_rejected(stock_channels, stock_config):
     with pytest.raises(ValueError, match="scenario"):
         fd.alternate_optimize(stock_channels, 0, stock_config, "telepathic")
-
-
-# ---------------------------------------------------------------------------
-# feasible intervals
-# ---------------------------------------------------------------------------
-
-def test_noncoh_interval_closed_form(stock_channels, stock_config):
-    hsp2 = abs(stock_channels.h_sp) ** 2
-    for k in range(stock_config.num_relays):
-        hrp2 = abs(stock_channels.h_rp[k]) ** 2
-        for p_s in (0.5, 5.0, 20.0):
-            lo, hi = fd.feasible_interval_pr(p_s, stock_channels, k,
-                                             stock_config, NONCOHERENT)
-            expect = min(stock_config.p_r_max,
-                         max(stock_config.i_bar_p - hsp2 * p_s, 0.0)
-                         / (hrp2 * (1.0 + stock_config.zeta)))
-            assert lo == 0.0
-            assert hi == pytest.approx(expect, rel=1e-12)
-            # every point of the interval satisfies the exact constraint
-            for p_r in np.linspace(lo, hi, 9):
-                i = fd.interference_noncoh(fd.PowerAllocation(p_s, float(p_r)),
-                                           stock_channels, k, stock_config)
-                assert i <= cap_slack(stock_config)
-
-
-def test_hd_interval(stock_channels, stock_config):
-    k = 1
-    hrp2 = abs(stock_channels.h_rp[k]) ** 2
-    lo, hi = fd.feasible_interval_pr(3.0, stock_channels, k, stock_config,
-                                     HD_BASELINE)
-    assert lo == 0.0
-    assert hi == pytest.approx(min(stock_config.p_r_max,
-                                   stock_config.i_bar_p / hrp2), rel=1e-12)
-
-
-def test_coherent_interval_points_exactly_feasible(stock_channels, stock_config):
-    for k in range(stock_config.num_relays):
-        for p_s in (0.5, 4.0, 12.0):
-            lo, hi = fd.feasible_interval_pr(p_s, stock_channels, k,
-                                             stock_config, COHERENT)
-            assert lo == 0.0
-            assert 0.0 <= hi <= math.sqrt(stock_config.p_r_max) + 1e-12
-            for t in np.linspace(lo, hi, 33):
-                alloc = fd.PowerAllocation(p_s, float(t) ** 2)
-                i = fd.interference_coh(alloc, stock_channels, k, stock_config)
-                assert i <= cap_slack(stock_config) * (1 + 1e-9)
-
-
-def test_interval_source_alone_infeasible(stock_channels, stock_config):
-    tight = dataclasses.replace(stock_config, i_bar_p=1e-6)
-    with pytest.raises(Infeasible):
-        fd.feasible_interval_pr(50.0, stock_channels, 0, tight, NONCOHERENT)
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +120,8 @@ def test_unlimited_cap_solves_to_power_box_optimum():
 
 
 # ---------------------------------------------------------------------------
-# zero-leakage routing and special solvers
+# zero leakage and half duplex
 # ---------------------------------------------------------------------------
-
-def test_zeta_zero_routing(stock_channels, stock_config):
-    cfg0 = dataclasses.replace(stock_config, zeta=0.0)
-    via_alternate = fd.alternate_optimize(stock_channels, 0, cfg0, NONCOHERENT)
-    direct = fd.solve_zeta_zero(stock_channels, 0, cfg0, NONCOHERENT)
-    assert via_alternate.rate == pytest.approx(direct.rate, rel=1e-12)
-    with pytest.raises(ValueError, match="zeta_hat"):
-        fd.solve_zeta_zero(stock_channels, 0, stock_config, NONCOHERENT)
-
 
 def test_zeta_zero_noncoh_saturates_constraint(stock_config):
     # with no loop leakage the exact rate rises in both powers, so the
@@ -231,7 +129,7 @@ def test_zeta_zero_noncoh_saturates_constraint(stock_config):
     cfg0 = dataclasses.replace(stock_config, zeta=0.0)
     for seed in range(6):
         channels = fd.sample_channels(cfg0, seed=90 + seed)
-        res = fd.solve_zeta_zero(channels, 0, cfg0, NONCOHERENT)
+        res = fd.alternate_optimize(channels, 0, cfg0, NONCOHERENT)
         i = fd.interference_noncoh(res.alloc, channels, 0, cfg0)
         on_cap = i >= cfg0.i_bar_p * (1 - 1e-6)
         on_box = (res.alloc.p_s >= cfg0.p_s_max * (1 - 1e-6)
@@ -245,7 +143,7 @@ def test_zeta_zero_coherent_band_solver(stock_config):
     cfg0 = dataclasses.replace(stock_config, zeta=0.0)
     for seed in range(6):
         channels = fd.sample_channels(cfg0, seed=120 + seed)
-        res = fd.solve_zeta_zero(channels, 0, cfg0, COHERENT)
+        res = fd.alternate_optimize(channels, 0, cfg0, COHERENT)
         i = fd.interference_coh(res.alloc, channels, 0, cfg0)
         assert i <= cap_slack(cfg0) * (1 + 1e-9)
         oracle = fd.brute_force(channels, 0, cfg0, COHERENT, grid_n=301)
@@ -253,7 +151,7 @@ def test_zeta_zero_coherent_band_solver(stock_config):
 
 
 def test_hd_baseline_hits_decoupled_corner(stock_channels, stock_config):
-    res = fd.hd_baseline(stock_channels, 0, stock_config)
+    res = fd.alternate_optimize(stock_channels, 0, stock_config, HD_BASELINE)
     hsp2 = abs(stock_channels.h_sp) ** 2
     hrp2 = abs(stock_channels.h_rp[0]) ** 2
     assert res.alloc.p_s == pytest.approx(
@@ -287,10 +185,8 @@ def test_brute_force_validates_grid(stock_channels, stock_config):
 
 def test_select_relay_tie_break(stock_channels, stock_config):
     a = fd.alternate_optimize(stock_channels, 0, stock_config, NONCOHERENT)
-    twin = fd.RelayResult(relay=1, scenario=a.scenario, alloc=a.alloc,
-                          rate=a.rate, surrogate_obj=a.surrogate_obj,
-                          iterations=a.iterations, converged=a.converged,
-                          trace=a.trace)
+    twin = fd.RelayResult(relay=1, scenario=a.scenario, alloc=a.alloc, rate=a.rate,
+                          iterations=a.iterations, converged=a.converged, trace=a.trace)
     picked = fd.select_relay([a, twin])
     assert picked.selected == 0
     assert picked.best is picked.relays[0]
@@ -319,8 +215,8 @@ def test_solve_network_warm_forms(stock_channels, stock_config):
 
 
 def test_coherent_dominates_noncoherent(stock_config):
-    # the coherent solve compares the non-coherent optimum in, so it can do no
-    # worse wherever that allocation is coherent-feasible (it is on these draws)
+    # given the non-coherent optimum as its warm start, the coherent solve can do
+    # no worse wherever that allocation is coherent-feasible (it is on these draws)
     for seed in range(12):
         channels = fd.sample_channels(stock_config, seed=200 + seed)
         for k in range(stock_config.num_relays):
@@ -355,6 +251,19 @@ def test_coherent_thin_feasible_band():
         assert res.rate > 0.0
         assert fd.interference_coh(res.alloc, channels, k, cfg) <= cap_slack(cfg)
         assert res.rate >= fd.brute_force(channels, k, cfg, COHERENT).rate
+
+
+def test_coherent_top_edge_kink():
+    # the optimum sits at p_s = P_s just before that edge turns infeasible as
+    # p_r grows; a 2,000,001-point scan of p_r at p_s = P_s finds 3.838616
+    cfg = dataclasses.replace(harness.load_config(CONFIG_DIR / "single-relay.cfg"),
+                              i_bar_p=1.0)
+    channels = fd.sample_channels(cfg, seed=220036)
+    nc = fd.alternate_optimize(channels, 0, cfg, NONCOHERENT)
+    co = fd.alternate_optimize(channels, 0, cfg, COHERENT, warm_start=nc.alloc)
+    assert co.rate >= 3.838616
+    assert fd.interference_coh(co.alloc, channels, 0, cfg) <= cap_slack(cfg)
+    assert co.rate == pytest.approx(fd.rate_exact(co.alloc, channels, 0, cfg), rel=1e-12)
 
 
 def _log10_uniform(lo, hi):
