@@ -31,6 +31,19 @@ def _csv_names(text: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _spec(**kwargs) -> harness.ExperimentSpec:
+    try:
+        return harness.ExperimentSpec(**kwargs)
+    except ValueError as exc:  # a bad sweep argument: report it like a bad config
+        raise model.ConfigError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fdrelay",
@@ -55,9 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the structural check suite")
     verify.add_argument("--config", help="flat key=value config file")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--points", type=int, default=2000,
+    verify.add_argument("--points", type=_positive_int, default=2000,
                         help="pointwise checks per suite entry (default 2000)")
-    verify.add_argument("--draws", type=int, default=50,
+    verify.add_argument("--draws", type=_positive_int, default=50,
                         help="channel draws per witness check (default 50)")
 
     gap = sub.add_parser("oracle-gap", help="solver-vs-oracle gap report")
@@ -92,7 +105,7 @@ def _cmd_run(args) -> int:
         # setup instead of the cap-sweep defaults
         kwargs.setdefault("i_bar_p_db_list", (8.0,))
         kwargs.setdefault("zeta_list", (0.4,))
-    spec = harness.ExperimentSpec(**kwargs)
+    spec = _spec(**kwargs)
     rows = harness.run_experiment(spec, config)
     harness.emit_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -115,10 +128,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle_gap(args) -> int:
     config = _config_from(args, harness.default_config(num_relays=1))
-    spec = harness.ExperimentSpec(name="optimality-gap",
-                                  i_bar_p_db_list=args.ibar_db,
-                                  num_realizations=args.realizations,
-                                  base_seed=args.seed, grid_n=args.grid_n)
+    spec = _spec(name="optimality-gap", i_bar_p_db_list=args.ibar_db,
+                 num_realizations=args.realizations, base_seed=args.seed,
+                 grid_n=args.grid_n)
     rows = harness.run_experiment(spec, config)
     if args.out:
         harness.emit_csv(rows, args.out)

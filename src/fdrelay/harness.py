@@ -296,15 +296,14 @@ def lemma_suite(config: NetworkConfig, base_seed: int = 0, num_points: int = 200
     rng = np.random.default_rng(base_seed)
     p_max = max(config.p_s_max, config.p_r_max)
 
-    def draws():
-        return [model.sample_channels(config, base_seed + i) for i in range(num_draws)]
+    draws = [model.sample_channels(config, base_seed + i) for i in range(num_draws)]
 
     # --- exact phase alignment beats a dense grid and matches the closed form
     worst_rel = 0.0
     worst_eq = 0.0
     n_phase = 0
     phis = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-    for ch in draws():
+    for ch in draws:
         for _ in range(max(1, num_points // (num_draws * 50))):
             k = int(rng.integers(ch.num_relays))
             alloc = PowerAllocation(float(rng.uniform(0.05, config.p_s_max)),
@@ -327,7 +326,7 @@ def lemma_suite(config: NetworkConfig, base_seed: int = 0, num_points: int = 200
     #     1-D slice of the surrogate unimodal
     bad = 0
     n_pts = 0
-    for ch in draws():
+    for ch in draws:
         ps, pr = _interior_points(rng, max(1, num_points // num_draws), p_max)
         for k in (int(rng.integers(ch.num_relays)),):
             if model.zeta_hat(ch, k, config) == 0.0:
@@ -344,7 +343,7 @@ def lemma_suite(config: NetworkConfig, base_seed: int = 0, num_points: int = 200
     # --- same in sqrt coordinates (coherent subproblems)
     bad = 0
     n_pts = 0
-    for ch in draws():
+    for ch in draws:
         ps, pr = _interior_points(rng, max(1, num_points // num_draws),
                                   float(np.sqrt(p_max)))
         for k in (int(rng.integers(ch.num_relays)),):
@@ -362,7 +361,7 @@ def lemma_suite(config: NetworkConfig, base_seed: int = 0, num_points: int = 200
     # --- zero-leakage surrogate is jointly concave (negative semidefinite)
     bad = 0
     n_pts = 0
-    for ch in draws():
+    for ch in draws:
         ps, pr = _interior_points(rng, max(1, num_points // num_draws), p_max)
         k = int(rng.integers(ch.num_relays))
         for a, b in zip(ps, pr):
@@ -380,7 +379,7 @@ def lemma_suite(config: NetworkConfig, base_seed: int = 0, num_points: int = 200
     #     certifiably nonconvex (numeric determinant goes negative)
     bad = 0
     n_w = 0
-    for ch in draws():
+    for ch in draws:
         k = int(rng.integers(ch.num_relays))
         if model.zeta_hat(ch, k, config) == 0.0:
             continue
@@ -400,7 +399,7 @@ def lemma_suite(config: NetworkConfig, base_seed: int = 0, num_points: int = 200
     # --- mirror witness for the sqrt-coordinate problem
     bad = 0
     n_w = 0
-    for ch in draws():
+    for ch in draws:
         k = int(rng.integers(ch.num_relays))
         if model.zeta_hat(ch, k, config) == 0.0:
             continue
@@ -423,7 +422,7 @@ def lemma_suite(config: NetworkConfig, base_seed: int = 0, num_points: int = 200
     #     exact: L <= 2/G^2 always (three-term AM-GM)
     worst = -np.inf
     n_cs = 0
-    for ch in draws():
+    for ch in draws:
         for _ in range(max(1, num_points // (num_draws * 10))):
             k = int(rng.integers(ch.num_relays))
             alloc = PowerAllocation(float(rng.uniform(1e-3, config.p_s_max)),
@@ -444,7 +443,7 @@ def lemma_suite(config: NetworkConfig, base_seed: int = 0, num_points: int = 200
     #     |B|^2 / (3 G^2 |h_rp|^2 p_r / G^2) ratio stays in (0, 1]
     lo_ratio, hi_ratio = np.inf, -np.inf
     n_ap = 0
-    for ch in draws():
+    for ch in draws:
         for _ in range(max(1, num_points // (num_draws * 10))):
             k = int(rng.integers(ch.num_relays))
             alloc = PowerAllocation(float(rng.uniform(1e-3, config.p_s_max)),

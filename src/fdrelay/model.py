@@ -26,12 +26,10 @@ __all__ = [
     "NetworkConfig",
     "ChannelRealization",
     "PowerAllocation",
-    "DerivedQuantities",
     "db_to_linear",
     "linear_to_db",
     "sample_channels",
     "zeta_hat",
-    "derived_quantities",
     "relay_gain",
     "rate_exact",
     "rate_noncoh_obj",
@@ -164,14 +162,6 @@ class PowerAllocation:
             raise ValueError(f"powers must be >= 0, got ({self.p_s!r}, {self.p_r!r})")
 
 
-@dataclass(frozen=True)
-class DerivedQuantities:
-    """Per-(allocation, relay) derived scalars: loop gain and relay gain."""
-
-    zeta_hat: float
-    gain: float
-
-
 def sample_channels(config: NetworkConfig, seed: int) -> ChannelRealization:
     """Draw one realization of all channel coefficients.
 
@@ -222,12 +212,6 @@ def relay_gain(alloc: PowerAllocation, channels: ChannelRealization, k: int,
     hrr2 = float(np.abs(channels.h_rr[k]) ** 2)
     return float(1.0 / np.sqrt(alloc.p_s * hsr2 + config.zeta * alloc.p_r * hrr2
                                + config.sigma2_relay))
-
-
-def derived_quantities(alloc: PowerAllocation, channels: ChannelRealization,
-                       k: int, config: NetworkConfig) -> DerivedQuantities:
-    return DerivedQuantities(zeta_hat=zeta_hat(channels, k, config),
-                             gain=relay_gain(alloc, channels, k, config))
 
 
 def rate_exact(alloc: PowerAllocation, channels: ChannelRealization, k: int,

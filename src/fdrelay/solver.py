@@ -1,5 +1,4 @@
-"""Per-relay power optimization by an exact 1-D envelope search, the lattice
-oracle, and relay selection.
+"""Per-relay power optimization, the lattice oracle, and relay selection.
 
 The joint (p_s, p_r) problem is not convex, but in every scenario it is a
 1-D problem.  At fixed p_r the exact rate log2(1 + x*y/(1 + x + y)) depends
@@ -8,7 +7,12 @@ and d/dy [x*y/(1 + x + y)] = x*(1 + x)/(1 + x + y)^2 > 0.  So the best
 source power is the largest feasible one, ps_top(p_r), and the optimum is
 max over p_r of R(ps_top(p_r), p_r).  ps_top is, per scenario:
 
-* non-coherent: min(P_s, (Ibar - |h_rp|^2 (1 + zeta) p_r) / |h_sp|^2);
+* non-coherent: min(P_s', (Ibar - c p_r)/|h_sp|^2), with c = |h_rp|^2 (1 + zeta)
+  and P_s' = min(P_s, Ibar/|h_sp|^2).  The rate falls in phi = 1/x + 1/y + 1/(xy),
+  which is convex in p_r on both pieces, so each has a closed-form optimum,
+  clipped to the piece: on the flat one phi = c0 + c1/p_r + c2 p_r is least at
+  sqrt(s2d (P_s' |h_sr|^2 + s2r) / (|h_rd|^2 zeta_hat)); on the slope
+  phi' = Q/(Ibar - c p_r)^2 - P/p_r^2 (P, Q > 0) vanishes at Ibar/(c + sqrt(Q/P)).
 * half-duplex: the slot caps decouple and the rate rises in both powers,
   so the optimum is the corner (min(P_s, Ibar/|h_sp|^2), min(P_r, Ibar/|h_rp|^2));
 * coherent: the top root of |a| - |b| = +-sqrt(Ibar) along p_s
@@ -17,9 +21,9 @@ max over p_r of R(ps_top(p_r), p_r).  ps_top is, per scenario:
   any grid cell; the winning column's bracket is then shrunk to a point.
   Where the winning column tops out at P_s, the edge p_s = P_s stops being
   feasible somewhere before the next column; nested scans along p_r find
-  that kink, and its last feasible point is compared in.
+  that kink, and its last feasible point is compared in.  The p_r search
+  is a sqrt-spaced grid, then zoom rounds around the argmax.
 
-The p_r search is a sqrt-spaced grid, then zoom rounds around the argmax.
 Warm points are compared in as lower bounds, so cap sweeps are monotone by
 construction, and a coherent solve given the non-coherent result as its warm
 start is at least as good wherever that point is coherent-feasible.
@@ -84,9 +88,8 @@ class RelayResult:
     scenario: str
     alloc: PowerAllocation
     rate: float            # exact achievable rate at alloc (always the reported figure)
-    iterations: int        # zoom rounds of the envelope search
-    converged: bool
-    trace: tuple[tuple[int, float], ...]  # (round, best rate so far) pairs
+    iterations: int        # coherent p_r zoom rounds, else 0; read by the benchmark's tracer
+    converged: bool        # always True; kept only because the benchmark's tracer reads it
 
 
 @dataclass(frozen=True)
@@ -146,16 +149,16 @@ def _feasible(ps, pr, channels, k, config, scenario):
 
 
 def _envelope(top, rate, pr_hi):
-    """Maximize rate(ps_top(p_r), p_r) over p_r in [0, pr_hi].
+    """Maximize rate(ps_top(p_r), p_r) over p_r in [0, pr_hi] (coherent).
 
     ``top`` maps a p_r array to (ps_lo, ps_hi) arrays: ps_lo is at most
     ps_top (negative where the column has no feasible point) and ps_hi bounds
     it from above (equal to ps_lo where ps_lo is exact).  Returns
-    ((value, p_r, ps_lo, ps_hi, next p_r on its grid) of the best column, trace).
+    (value, p_r, ps_lo, ps_hi, next p_r on its grid) of the best column.
     """
     u = np.linspace(0.0, math.sqrt(pr_hi), _PR_GRID)
-    best, trace = (-1.0, 0.0, -1.0, -1.0, 0.0), []
-    for rnd in range(_ZOOM_ROUNDS + 1):
+    best = (-1.0, 0.0, -1.0, -1.0, 0.0)
+    for _ in range(_ZOOM_ROUNDS + 1):
         pr = u * u
         ps_lo, ps_hi = top(pr)
         vals = np.where(ps_lo >= 0.0, rate(np.maximum(ps_lo, 0.0), pr), -1.0)
@@ -163,9 +166,8 @@ def _envelope(top, rate, pr_hi):
         if vals[j] > best[0]:
             best = (float(vals[j]), float(pr[j]), float(ps_lo[j]), float(ps_hi[j]),
                     float(pr[min(j + 1, len(pr) - 1)]))
-        trace.append((rnd, max(best[0], 0.0)))
         u = np.linspace(u[max(j - 1, 0)], u[min(j + 1, len(u) - 1)], _ZOOM_GRID)
-    return best, trace
+    return best
 
 
 def _shrink(gap, pr, lo, hi, root, points):
@@ -199,27 +201,36 @@ def _last_feasible(ok, a, b):
     return a
 
 
+def _noncoherent_points(channels, k, config):
+    """The exact minimizer of phi = 1/x + 1/y + 1/(xy) on each non-coherent envelope
+    piece (module docstring); a zero |h_sr| or |h_rd| rates every point 0."""
+    hsr2, hrd2, hsp2, hrp2 = _gains(channels, k)
+    ibar, s2r, s2d = config.i_bar_p, config.sigma2_relay, config.sigma2_dest
+    zh, c = model.zeta_hat(channels, k, config), hrp2 * (1.0 + config.zeta)
+    pr_hi = min(config.p_r_max, _cap_ratio(ibar, c))
+    ps_flat = min(config.p_s_max, _cap_ratio(ibar, hsp2))
+    # where ps_top leaves ps_flat; 0 when the cap already binds at p_r = 0
+    kink = max(0.0, min(pr_hi, _cap_ratio(ibar - hsp2 * ps_flat, c)))
+    flat = math.sqrt(_cap_ratio(s2d * (ps_flat * hsr2 + s2r), hrd2 * zh))  # inf when zh = 0
+    points = [(ps_flat, min(flat, kink))]
+    if kink < pr_hi:  # never for |h_sp| = 0 or Ibar = inf
+        # |h_sr|^2 |h_rd|^2 phi' = q/(ibar - c p_r)^2 - p/p_r^2 on the slope
+        p = s2d * (hsr2 + hsp2 * s2r / ibar)
+        q = hsp2 * (hrd2 * (zh * ibar + c * s2r) + s2d * c * (zh + c * s2r / ibar))
+        pr = min(max(ibar / (c + math.sqrt(q / p)), kink), pr_hi)
+        points.append((min(max((ibar - c * pr) / hsp2, 0.0), ps_flat), pr))
+    return points
+
+
 def _best_point(channels, k, config, scenario, warm):
-    """(p_s, p_r, trace) of the best feasible point found for relay k."""
+    """(p_s, p_r, rate) of the best feasible point found for relay k."""
     _, _, hsp2, hrp2 = _gains(channels, k)
     ibar, ps_max, pr_max = config.i_bar_p, config.p_s_max, config.p_r_max
     rate = _rate_fn(channels, k, config, scenario)
-    cands, trace = [(w.p_s, w.p_r) for w in warm], []
     if scenario == HD_BASELINE:
-        ps, pr = min(ps_max, _cap_ratio(ibar, hsp2)), min(pr_max, _cap_ratio(ibar, hrp2))
+        cands = [(min(ps_max, _cap_ratio(ibar, hsp2)), min(pr_max, _cap_ratio(ibar, hrp2)))]
     elif scenario == NONCOHERENT:
-        denom_r = hrp2 * (1.0 + config.zeta)
-
-        def top(pr):
-            ps = (np.full_like(pr, ps_max) if hsp2 == 0.0
-                  else np.clip((ibar - denom_r * pr) / hsp2, 0.0, ps_max))
-            return ps, ps
-
-        pr_hi = min(pr_max, _cap_ratio(ibar, denom_r))
-        kink = (ibar - hsp2 * ps_max) / denom_r if denom_r > 0.0 else -1.0
-        if 0.0 < kink < pr_hi:  # the envelope's one kink: ps_top leaves P_s
-            cands.append((float(top(np.array(kink))[0]), kink))
-        (_, pr, ps, _, _), trace = _envelope(top, rate, pr_hi)
+        cands = _noncoherent_points(channels, k, config)
     else:
         def gap(ps, pr):
             return phase._amp_gap_vals(ps, pr, channels, k, config)
@@ -231,35 +242,23 @@ def _best_point(channels, k, config, scenario, warm):
             return np.where(f_lo <= 0.0, lo * lo, -1.0), hi * hi
 
         root = math.sqrt(ibar)
-        (_, pr, ps_lo, ps_hi, pr_next), trace = _envelope(top, rate, pr_max)
+        _, pr, ps_lo, ps_hi, pr_next = _envelope(top, rate, pr_max)
         ps, lo, hi = max(ps_lo, 0.0), np.sqrt([ps_lo]), np.sqrt([ps_hi])
-        if ps_lo == ps_hi:  # the column tops out at P_s: where does that edge end?
-            cands.append((ps_max, _last_feasible(
-                lambda x: _feasible(ps_max, x, channels, k, config, COHERENT), pr, pr_next)))
         for rnd in range(_SHRINK_ROUNDS_MAX if ps_lo < ps_hi else 0):
             lo, hi, f_lo = _shrink(gap, np.array([pr]), lo, hi, root, _SHRINK_GRID)
             if f_lo[0] >= -2.0 * root:  # lo is above the lower level too
                 ps = float(lo[0] * lo[0])
                 if rnd + 1 >= _SHRINK_ROUNDS:
                     break
+        cands = [(ps, pr)]
+        if ps_lo == ps_hi:  # the column tops out at P_s: where does that edge end?
+            cands.append((ps_max, _last_feasible(
+                lambda x: _feasible(ps_max, x, channels, k, config, COHERENT), pr, pr_next)))
     best, best_v = (0.0, 0.0), 0.0
-    for p in [(ps, pr)] + cands:
+    for p in cands + [(w.p_s, w.p_r) for w in warm]:
         if _feasible(p[0], p[1], channels, k, config, scenario) and rate(*p) > best_v:
             best, best_v = p, float(rate(*p))
-    # column estimates never exceed what the verified point delivers
-    return best + (tuple((i, min(v, best_v)) for i, v in trace) + ((len(trace), best_v),),)
-
-
-def _solve(channels, k, config, scenario, warm=()):
-    # a zero cap admits only the all-zero allocation
-    ps, pr, trace = ((0.0, 0.0, ((0, 0.0),)) if config.i_bar_p == 0.0
-                     else _best_point(channels, k, config, scenario, warm))
-    alloc = PowerAllocation(float(ps), float(pr), feasible=True)
-    rate = float(model.rate_hd(alloc, channels, k, config) if scenario == HD_BASELINE
-                 else model.rate_exact(alloc, channels, k, config))
-    return RelayResult(relay=k, scenario=scenario, alloc=alloc, rate=rate,
-                       iterations=_ZOOM_ROUNDS if len(trace) > 1 else 0,
-                       converged=True, trace=trace)
+    return (*best, best_v)
 
 
 # ----------------------------------------------------------------------------
@@ -269,12 +268,16 @@ def _solve(channels, k, config, scenario, warm=()):
 def alternate_optimize(channels: ChannelRealization, k: int, config: NetworkConfig,
                        scenario: str, warm_start=None) -> RelayResult:
     """Envelope solve for one relay, any scenario and any leakage (zeta_hat
-    == 0 included).  The trace is nondecreasing; the returned allocation is
-    exactly feasible.  ``warm_start`` may be a PowerAllocation or a sequence
-    of them; feasible warm points lower-bound the result."""
+    == 0 included).  The returned allocation is exactly feasible.
+    ``warm_start`` may be a PowerAllocation or a sequence of them; feasible
+    warm points lower-bound the result."""
     scenario = _norm_scenario(scenario)
-    warm = [warm_start] if isinstance(warm_start, PowerAllocation) else warm_start
-    return _solve(channels, k, config, scenario, list(warm or ()))
+    warm = [warm_start] if isinstance(warm_start, PowerAllocation) else list(warm_start or ())
+    search = config.i_bar_p > 0.0  # a zero cap admits only the all-zero allocation
+    ps, pr, rate = _best_point(channels, k, config, scenario, warm) if search else (0, 0, 0)
+    return RelayResult(relay=k, scenario=scenario, rate=float(rate), converged=True,
+                       alloc=PowerAllocation(float(ps), float(pr), feasible=True),
+                       iterations=_ZOOM_ROUNDS if search and scenario == COHERENT else 0)
 
 
 def brute_force(channels: ChannelRealization, k: int, config: NetworkConfig,
@@ -291,9 +294,8 @@ def brute_force(channels: ChannelRealization, k: int, config: NetworkConfig,
                       _rate_fn(channels, k, config, scenario)(grid_ps, grid_pr), -1.0)
     j = int(np.argmax(masked))  # (0, 0) is always feasible, so masked.flat[j] >= 0
     alloc = PowerAllocation(float(ps[j // grid_n]), float(pr[j % grid_n]), feasible=True)
-    rate = float(masked.flat[j])
-    return RelayResult(relay=k, scenario=scenario, alloc=alloc, rate=rate,
-                       iterations=0, converged=True, trace=((0, rate),))
+    return RelayResult(relay=k, scenario=scenario, alloc=alloc, rate=float(masked.flat[j]),
+                       iterations=0, converged=True)
 
 
 def select_relay(results) -> SolveResult:
@@ -301,10 +303,8 @@ def select_relay(results) -> SolveResult:
     results = list(results)
     if not results:
         raise ValueError("select_relay needs at least one per-relay result")
-    rates = np.array([r.rate for r in results])
-    best = int(np.argmax(rates))
     return SolveResult(scenario=results[0].scenario, relays=tuple(results),
-                       selected=best)
+                       selected=int(np.argmax([r.rate for r in results])))
 
 
 def solve_network(channels: ChannelRealization, config: NetworkConfig,

@@ -127,6 +127,34 @@ def test_argparse_rejections(argv):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--experiment", "rate-vs-ibar", "--realizations", "0"],
+    ["run", "--experiment", "rate-vs-ibar", "--zetas=-1"],
+    ["run", "--experiment", "rate-vs-ibar", "--scenarios", "telepathic"],
+    ["oracle-gap", "--grid-n", "1"],
+    ["oracle-gap", "--realizations", "0"],
+])
+def test_bad_sweep_arguments_exit_2(argv, tmp_path, capsys):
+    # the experiment spec's ValueError is reported like a bad config
+    out = ["--out", str(tmp_path / "x.csv")] if argv[0] == "run" else []
+    assert cli.main(argv + out) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--points", "-5"],
+    ["verify", "--points", "0"],
+    ["verify", "--draws", "0"],
+    ["verify", "--draws", "x"],
+])
+def test_verify_rejects_counts_below_one(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert "expected an integer >= 1" in capsys.readouterr().err
+
+
 def test_console_script_installed(tmp_path):
     # Run the entry point declared in pyproject.toml the way a generated
     # console-script wrapper does, with this checkout first on the import

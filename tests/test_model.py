@@ -170,13 +170,6 @@ def test_zeta_hat_definition(stock_channels, stock_config):
         assert fd.zeta_hat(stock_channels, k, stock_config) == pytest.approx(expected)
 
 
-def test_derived_quantities_bundle(stock_channels, stock_config):
-    alloc = fd.PowerAllocation(4.0, 9.0)
-    d = fd.derived_quantities(alloc, stock_channels, 1, stock_config)
-    assert d.zeta_hat == fd.zeta_hat(stock_channels, 1, stock_config)
-    assert d.gain == fd.relay_gain(alloc, stock_channels, 1, stock_config)
-
-
 def test_rate_exact_longhand(stock_channels, stock_config):
     ps, pr, k = 6.0, 11.0, 2
     zh = fd.zeta_hat(stock_channels, k, stock_config)

@@ -55,8 +55,6 @@ def test_traces_rates_feasibility(scenario, stock_config):
         channels = fd.sample_channels(stock_config, seed=seed)
         for k in range(stock_config.num_relays):
             res = fd.alternate_optimize(channels, k, stock_config, scenario)
-            objs = [v for _, v in res.trace]
-            assert all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
             assert res.rate == pytest.approx(
                 fd.rate_exact(res.alloc, channels, k, stock_config), rel=1e-12)
             assert 0.0 <= res.alloc.p_s <= stock_config.p_s_max * (1 + 1e-12)
@@ -64,7 +62,7 @@ def test_traces_rates_feasibility(scenario, stock_config):
             i = (fd.interference_noncoh if scenario == NONCOHERENT
                  else fd.interference_coh)(res.alloc, channels, k, stock_config)
             assert i <= cap_slack(stock_config) * (1 + 1e-9)
-            assert res.iterations >= 1
+            assert res.iterations == (2 if scenario == COHERENT else 0)
             assert isinstance(res.converged, bool)
 
 
@@ -117,6 +115,34 @@ def test_unlimited_cap_solves_to_power_box_optimum():
                                     channels, 0, cfg) for p in edge)
             assert res.rate >= best_edge - 1e-9
             assert res.rate >= fd.brute_force(channels, 0, cfg, scenario).rate - 1e-9
+
+
+@pytest.mark.parametrize("cfg_name", ["stock8.cfg", "single-relay.cfg",
+                                      "strong-leakage.cfg"])
+def test_noncoherent_closed_form_beats_dense_envelope(cfg_name):
+    # the closed-form optimum of each envelope piece is at least every point
+    # of a dense sqrt-spaced scan of R(ps_top(p_r), p_r), and exactly feasible
+    base = harness.load_config(CONFIG_DIR / cfg_name)
+    for ibar_db in (-10.0, 0.0, 5.0, 10.0, 30.0):
+        for zeta in (0.0, 1e-3, 0.4):
+            cfg = dataclasses.replace(base, zeta=zeta, i_bar_p=fd.db_to_linear(ibar_db))
+            channels = fd.sample_channels(cfg, seed=0)
+            hsp2 = abs(channels.h_sp) ** 2
+            for k in range(cfg.num_relays):
+                c = abs(channels.h_rp[k]) ** 2 * (1.0 + zeta)
+                pr = np.linspace(0.0, math.sqrt(min(cfg.p_r_max, cfg.i_bar_p / c)),
+                                 400_001) ** 2
+                ps = np.clip((cfg.i_bar_p - c * pr) / hsp2, 0.0, cfg.p_s_max)
+                x = pr * abs(channels.h_rd[k]) ** 2 / cfg.sigma2_dest
+                y = ps * abs(channels.h_sr[k]) ** 2 / (
+                    fd.zeta_hat(channels, k, cfg) * pr + cfg.sigma2_relay)
+                scan = np.log2(1.0 + x * y / (1.0 + x + y))
+                res = fd.alternate_optimize(channels, k, cfg, NONCOHERENT)
+                # the box corner is evaluated in another operation order
+                assert scan.max() <= res.rate + 4 * math.ulp(res.rate)
+                assert fd.interference_noncoh(res.alloc, channels, k, cfg) <= cap_slack(cfg)
+                assert 0.0 <= res.alloc.p_s <= cfg.p_s_max
+                assert 0.0 <= res.alloc.p_r <= cfg.p_r_max
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +212,7 @@ def test_brute_force_validates_grid(stock_channels, stock_config):
 def test_select_relay_tie_break(stock_channels, stock_config):
     a = fd.alternate_optimize(stock_channels, 0, stock_config, NONCOHERENT)
     twin = fd.RelayResult(relay=1, scenario=a.scenario, alloc=a.alloc, rate=a.rate,
-                          iterations=a.iterations, converged=a.converged, trace=a.trace)
+                          iterations=a.iterations, converged=a.converged)
     picked = fd.select_relay([a, twin])
     assert picked.selected == 0
     assert picked.best is picked.relays[0]
