@@ -125,9 +125,9 @@ def _coeffs(channels: ChannelRealization, k: int, config: NetworkConfig):
 
 def f_partials(ps: float, pr: float, channels: ChannelRealization, k: int,
                config: NetworkConfig) -> tuple[float, float, float, float, float, float]:
-    """(f, f_s, f_r, f_ss, f_sr, f_rr) of the power-coordinate reciprocal."""
+    """(f, f_s, f_r, f_ss, f_sr, f_rr) of the power-coordinate reciprocal; broadcasts."""
     hsr2, hrd2, zh, s2d, _ = _coeffs(channels, k, config)
-    if not (ps > 0.0 and pr > 0.0):
+    if not (np.all(ps > 0.0) and np.all(pr > 0.0)):
         raise DomainError(f"interior point required, got ps={ps!r}, pr={pr!r}")
     if zh == 0.0:
         raise DomainError("zeta_hat == 0: use ftilde_partials")
@@ -142,9 +142,9 @@ def f_partials(ps: float, pr: float, channels: ChannelRealization, k: int,
 
 def g_partials(ps: float, pr: float, channels: ChannelRealization, k: int,
                config: NetworkConfig) -> tuple[float, float, float, float, float, float]:
-    """(g, g_s, g_r, g_ss, g_sr, g_rr) of the sqrt-coordinate reciprocal."""
+    """(g, g_s, g_r, g_ss, g_sr, g_rr) of the sqrt-coordinate reciprocal; broadcasts."""
     hsr2, hrd2, zh, s2d, _ = _coeffs(channels, k, config)
-    if not (ps > 0.0 and pr > 0.0):
+    if not (np.all(ps > 0.0) and np.all(pr > 0.0)):
         raise DomainError(f"interior point required, got ps={ps!r}, pr={pr!r}")
     if zh == 0.0:
         raise DomainError("zeta_hat == 0: the sqrt-coordinate reciprocal degenerates")
@@ -176,12 +176,16 @@ def ftilde_partials(ps: float, pr: float, channels: ChannelRealization, k: int,
     return ft, ft_s, ft_r, ft_ss, ft_sr, ft_rr
 
 
-def _reciprocal_hessian(v, v1, v2, v11, v12, v22) -> tuple[float, float, float]:
-    """Hessian entries of 1/v from the partials of v (quotient rule)."""
-    h11 = -(v * v11 - 2.0 * v1 * v1) / v ** 3
-    h12 = -(v * v12 - 2.0 * v1 * v2) / v ** 3
-    h22 = -(v * v22 - 2.0 * v2 * v2) / v ** 3
-    return h11, h12, h22
+def _hessian_report(partials, scale: float) -> HessianReport:
+    """Hessian of scale/v from the partials (v, v_1, v_2, v_11, v_12, v_22) of v
+    (quotient rule)."""
+    v, v1, v2, v11, v12, v22 = partials
+    h11 = scale * (-(v * v11 - 2.0 * v1 * v1) / v ** 3)
+    h12 = scale * (-(v * v12 - 2.0 * v1 * v2) / v ** 3)
+    h22 = scale * (-(v * v22 - 2.0 * v2 * v2) / v ** 3)
+    det = h11 * h22 - h12 * h12
+    return HessianReport(h11=h11, h12=h12, h21=h12, h22=h22, det=det,
+                         definiteness=_classify(h11, h22, det))
 
 
 def _surrogate_scale(channels, k, config, zero_leakage=False) -> float:
@@ -198,12 +202,8 @@ def hessian_noncoh(alloc: PowerAllocation, channels: ChannelRealization, k: int,
                    config: NetworkConfig) -> HessianReport:
     """Hessian of the interference-limited surrogate objective (= scale/f) at
     a power-coordinate interior point."""
-    f, f_s, f_r, f_ss, f_sr, f_rr = f_partials(alloc.p_s, alloc.p_r, channels, k, config)
-    c = _surrogate_scale(channels, k, config)
-    h11, h12, h22 = (c * h for h in _reciprocal_hessian(f, f_s, f_r, f_ss, f_sr, f_rr))
-    det = h11 * h22 - h12 * h12
-    return HessianReport(h11=h11, h12=h12, h21=h12, h22=h22, det=det,
-                         definiteness=_classify(h11, h22, det))
+    return _hessian_report(f_partials(alloc.p_s, alloc.p_r, channels, k, config),
+                           _surrogate_scale(channels, k, config))
 
 
 def hessian_noncoh_zeta_zero(alloc: PowerAllocation, channels: ChannelRealization,
@@ -213,14 +213,8 @@ def hessian_noncoh_zeta_zero(alloc: PowerAllocation, channels: ChannelRealizatio
     Analytically rank-deficient: det == 0 and the diagonal is negative, so
     the surrogate is concave (negative semidefinite) on the open quadrant.
     """
-    ft, ft_s, ft_r, ft_ss, ft_sr, ft_rr = ftilde_partials(alloc.p_s, alloc.p_r,
-                                                          channels, k, config)
-    c = _surrogate_scale(channels, k, config, zero_leakage=True)
-    h11, h12, h22 = (c * h for h in
-                     _reciprocal_hessian(ft, ft_s, ft_r, ft_ss, ft_sr, ft_rr))
-    det = h11 * h22 - h12 * h12
-    return HessianReport(h11=h11, h12=h12, h21=h12, h22=h22, det=det,
-                         definiteness=_classify(h11, h22, det))
+    return _hessian_report(ftilde_partials(alloc.p_s, alloc.p_r, channels, k, config),
+                           _surrogate_scale(channels, k, config, zero_leakage=True))
 
 
 def hessian_coh(p: tuple[float, float], channels: ChannelRealization, k: int,
@@ -228,12 +222,8 @@ def hessian_coh(p: tuple[float, float], channels: ChannelRealization, k: int,
     """Hessian of the surrogate objective in sqrt coordinates (= scale/g) at
     an interior point p = (ps, pr)."""
     ps, pr = p
-    g, g_s, g_r, g_ss, g_sr, g_rr = g_partials(ps, pr, channels, k, config)
-    c = _surrogate_scale(channels, k, config)
-    h11, h12, h22 = (c * h for h in _reciprocal_hessian(g, g_s, g_r, g_ss, g_sr, g_rr))
-    det = h11 * h22 - h12 * h12
-    return HessianReport(h11=h11, h12=h12, h21=h12, h22=h22, det=det,
-                         definiteness=_classify(h11, h22, det))
+    return _hessian_report(g_partials(ps, pr, channels, k, config),
+                           _surrogate_scale(channels, k, config))
 
 
 def sc1(alloc: PowerAllocation, channels: ChannelRealization, k: int,
@@ -281,13 +271,21 @@ def threshold_ps(channels: ChannelRealization, k: int, config: NetworkConfig,
     b = (2.0 * hsr2 / (zh * p_rk ** 2)) * (2.0 + snr_rd)
     c = -(hrd2 / s2d) * (1.0 + snr_rd)
     p_s_tilde = (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
-
-    p_rk_tilde = math.sqrt(s2d) / (math.sqrt(3.0) * math.sqrt(hrd2))
-    pr_ref = 0.5 * p_rk_tilde
-    p_s1 = math.sqrt(zh / 6.0) * pr_ref / math.sqrt(hsr2)
-    p_s2 = math.sqrt(_eta_positive_root(pr_ref, hsr2, hrd2, zh, s2d))
+    p_rk_tilde, _, p_s_tilde_coh = _sqrt_thresholds(hsr2, hrd2, zh, s2d, halvings=1)
     return Thresholds(p_s_tilde=float(p_s_tilde), p_rk_tilde=float(p_rk_tilde),
-                      p_s_tilde_coh=float(min(p_s1, p_s2)))
+                      p_s_tilde_coh=float(p_s_tilde_coh))
+
+
+def _sqrt_thresholds(hsr2: float, hrd2: float, zh: float, s2d: float,
+                     halvings: int) -> tuple[float, float, float]:
+    """(p_rk_tilde, pr, min(p_s1, p_s2)) in sqrt coordinates, where
+    pr = p_rk_tilde / 2^halvings and the min of the two closed-form roots
+    bounds the sqrt source power of the nonconvex region at pr."""
+    p_rk_tilde = math.sqrt(s2d) / (math.sqrt(3.0) * math.sqrt(hrd2))
+    pr = p_rk_tilde * 0.5 ** halvings
+    p_s1 = math.sqrt(zh / 6.0) * pr / math.sqrt(hsr2)
+    p_s2 = math.sqrt(_eta_positive_root(pr, hsr2, hrd2, zh, s2d))
+    return p_rk_tilde, pr, min(p_s1, p_s2)
 
 
 def _eta_positive_root(pr: float, hsr2: float, hrd2: float, zh: float, s2d: float) -> float:
@@ -321,25 +319,17 @@ def sc2_witness(channels: ChannelRealization, k: int,
     hsr2, hrd2, zh, s2d, _ = _coeffs(channels, k, config)
     if zh == 0.0:
         raise DomainError("zeta_hat == 0: the reciprocal is jointly concave; no witness exists")
-    p_rk_tilde = math.sqrt(s2d) / (math.sqrt(3.0) * math.sqrt(hrd2))
-    pr = 0.5 * p_rk_tilde
-
-    def recip_g(ps_, pr_):
-        gval = 1.0 / ps_ ** 2 + pr_ ** 2 * hrd2 / (ps_ ** 2 * s2d) + hsr2 / (zh * pr_ ** 2)
-        return 1.0 / gval
-
-    for _ in range(41):
-        p_s1 = math.sqrt(zh / 6.0) * pr / math.sqrt(hsr2)
-        p_s2 = math.sqrt(_eta_positive_root(pr, hsr2, hrd2, zh, s2d))
-        ps = 0.5 * min(p_s1, p_s2)
+    for halvings in range(1, 42):
+        _, pr, ps = _sqrt_thresholds(hsr2, hrd2, zh, s2d, halvings)
+        ps *= 0.5
         if ps <= 0.0 or pr <= 0.0:
             break
         rep = hessian_coh((ps, pr), channels, k, config)
-        num = numeric_hessian(recip_g, ps, pr)
+        num = numeric_hessian(lambda a, b: 1.0 / g_partials(a, b, channels, k, config)[0],
+                              ps, pr)
         num_det = num[0, 0] * num[1, 1] - num[0, 1] * num[1, 0]
         if rep.det < 0.0 and num_det < 0.0:
             return (ps, pr), float(rep.det)
-        pr *= 0.5
     raise DomainError("witness construction failed to certify after 40 shrinks")
 
 

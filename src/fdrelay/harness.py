@@ -196,13 +196,8 @@ def _run_cap_sweep(spec, config, draw) -> list[ResultRow]:
                     s: None for s in spec.scenarios}
                 for ibar_db in ibar_dbs:
                     cfg = dataclasses.replace(base, i_bar_p=model.db_to_linear(ibar_db))
-                    solved: dict[str, solver.SolveResult] = {}
                     for scen in spec.scenarios:
-                        warm_in = [warm[scen]]
-                        if scen == solver.COHERENT:
-                            warm_in.append(solved.get(solver.NONCOHERENT))
-                        res = solver.solve_network(ch, cfg, scen, warm=warm_in)
-                        solved[scen] = res
+                        res = solver.solve_network(ch, cfg, scen, warm=warm[scen])
                         warm[scen] = res
                         oracle = gap = None
                         if want_oracle:
@@ -322,45 +317,25 @@ def lemma_suite(config: NetworkConfig, base_seed: int = 0, num_points: int = 200
         n_phase, f"max rel excess over grid {worst_rel:.3e}, closed-form dev {worst_eq:.3e}"))
 
     # --- the leaky surrogate's reciprocal is convex in each power separately
-    #     (strictly positive pure second partials), which is what makes every
-    #     1-D slice of the surrogate unimodal
-    bad = 0
-    n_pts = 0
-    for ch in draws:
-        ps, pr = _interior_points(rng, max(1, num_points // num_draws), p_max)
-        for k in (int(rng.integers(ch.num_relays)),):
+    #     (strictly positive pure second partials), in power and in sqrt coordinates
+    #     (coherent subproblems), which makes every 1-D slice of it unimodal
+    for name, partials, p_top in (
+            ("noncoh-per-variable-convexity", analysis.f_partials, p_max),
+            ("coh-per-variable-convexity", analysis.g_partials, float(np.sqrt(p_max)))):
+        bad = n_pts = 0
+        for ch in draws:
+            ps, pr = _interior_points(rng, max(1, num_points // num_draws), p_top)
+            k = int(rng.integers(ch.num_relays))
             if model.zeta_hat(ch, k, config) == 0.0:
                 continue
-            for a, b in zip(ps, pr):
-                _, _, _, f_ss, _, f_rr = analysis.f_partials(float(a), float(b),
-                                                             ch, k, config)
-                n_pts += 1
-                if not (f_ss > 0.0 and f_rr > 0.0):
-                    bad += 1
-    checks.append(LemmaCheck("noncoh-per-variable-convexity", bad == 0 and n_pts > 0,
-                             n_pts, f"{bad} sign violations"))
-
-    # --- same in sqrt coordinates (coherent subproblems)
-    bad = 0
-    n_pts = 0
-    for ch in draws:
-        ps, pr = _interior_points(rng, max(1, num_points // num_draws),
-                                  float(np.sqrt(p_max)))
-        for k in (int(rng.integers(ch.num_relays)),):
-            if model.zeta_hat(ch, k, config) == 0.0:
-                continue
-            for a, b in zip(ps, pr):
-                _, _, _, g_ss, _, g_rr = analysis.g_partials(float(a), float(b),
-                                                             ch, k, config)
-                n_pts += 1
-                if not (g_ss > 0.0 and g_rr > 0.0):
-                    bad += 1
-    checks.append(LemmaCheck("coh-per-variable-convexity", bad == 0 and n_pts > 0,
-                             n_pts, f"{bad} sign violations"))
+            _, _, _, v_ss, _, v_rr = partials(ps, pr, ch, k, config)
+            n_pts += ps.size
+            bad += int(np.count_nonzero(~((v_ss > 0.0) & (v_rr > 0.0))))
+        checks.append(LemmaCheck(name, bad == 0 and n_pts > 0, n_pts,
+                                 f"{bad} sign violations"))
 
     # --- zero-leakage surrogate is jointly concave (negative semidefinite)
-    bad = 0
-    n_pts = 0
+    bad = n_pts = 0
     for ch in draws:
         ps, pr = _interior_points(rng, max(1, num_points // num_draws), p_max)
         k = int(rng.integers(ch.num_relays))
@@ -377,89 +352,53 @@ def lemma_suite(config: NetworkConfig, base_seed: int = 0, num_points: int = 200
 
     # --- below the closed-form source-power threshold the joint problem is
     #     certifiably nonconvex (numeric determinant goes negative)
-    bad = 0
-    n_w = 0
-    for ch in draws:
-        k = int(rng.integers(ch.num_relays))
-        if model.zeta_hat(ch, k, config) == 0.0:
-            continue
+    def noncoh_witness(ch, k):
         p_rk = float(rng.uniform(0.1, config.p_r_max))
-        th = analysis.threshold_ps(ch, k, config, p_rk)
-        ps_w = 0.9 * th.p_s_tilde
-        hnum = analysis.numeric_hessian(
-            lambda a, b: model.rate_noncoh_obj(PowerAllocation(a, b), ch, k, config),
-            ps_w, p_rk)
-        det = hnum[0, 0] * hnum[1, 1] - hnum[0, 1] * hnum[1, 0]
-        n_w += 1
-        if not det < 0.0:
-            bad += 1
-    checks.append(LemmaCheck("noncoh-joint-nonconvexity-witness", bad == 0 and n_w > 0,
-                             n_w, f"{bad} uncertified witnesses"))
+        ps_w = 0.9 * analysis.threshold_ps(ch, k, config, p_rk).p_s_tilde
+        return (ps_w, p_rk), lambda a, b: model.rate_noncoh_obj(
+            PowerAllocation(a, b), ch, k, config)
 
-    # --- mirror witness for the sqrt-coordinate problem
-    bad = 0
-    n_w = 0
-    for ch in draws:
-        k = int(rng.integers(ch.num_relays))
-        if model.zeta_hat(ch, k, config) == 0.0:
-            continue
-        try:
-            (ps_w, pr_w), det = analysis.sc2_witness(ch, k, config)
-        except analysis.DomainError:
-            bad += 1
+    def coh_witness(ch, k):
+        point, _ = analysis.sc2_witness(ch, k, config)  # certifies its closed-form det < 0
+        return point, lambda a, b: model.rate_coh_obj((a, b), ch, k, config)
+
+    for name, witness in (("noncoh-joint-nonconvexity-witness", noncoh_witness),
+                          ("coh-joint-nonconvexity-witness", coh_witness)):
+        bad = n_w = 0
+        for ch in draws:
+            k = int(rng.integers(ch.num_relays))
+            if model.zeta_hat(ch, k, config) == 0.0:
+                continue
             n_w += 1
-            continue
-        hnum = analysis.numeric_hessian(
-            lambda a, b: model.rate_coh_obj((a, b), ch, k, config), ps_w, pr_w)
-        det_num = hnum[0, 0] * hnum[1, 1] - hnum[0, 1] * hnum[1, 0]
-        n_w += 1
-        if not (det < 0.0 and det_num < 0.0):
-            bad += 1
-    checks.append(LemmaCheck("coh-joint-nonconvexity-witness", bad == 0 and n_w > 0,
-                             n_w, f"{bad} uncertified witnesses"))
+            try:
+                (ps_w, pr_w), obj = witness(ch, k)
+            except analysis.DomainError:
+                bad += 1
+                continue
+            hnum = analysis.numeric_hessian(obj, ps_w, pr_w)
+            if not hnum[0, 0] * hnum[1, 1] - hnum[0, 1] * hnum[1, 0] < 0.0:
+                bad += 1
+        checks.append(LemmaCheck(name, bad == 0 and n_w > 0, n_w,
+                                 f"{bad} uncertified witnesses"))
 
-    # --- the cross-term bound behind the conservative constraint surrogate is
-    #     exact: L <= 2/G^2 always (three-term AM-GM)
-    worst = -np.inf
-    n_cs = 0
+    # --- three-term Cauchy-Schwarz: d^2 G^2 = |b|^2 / (|h_rp|^2 p_r) <= 3, so the
+    #     cross term L = d^2 - 1/G^2 stays below 2/G^2 and the conservative
+    #     surrogate never understates the coupling term (d^2 G^2 / 3 in (0, 1])
+    worst, lo_ratio, hi_ratio, n_cs = -np.inf, np.inf, -np.inf, 0
     for ch in draws:
         for _ in range(max(1, num_points // (num_draws * 10))):
             k = int(rng.integers(ch.num_relays))
             alloc = PowerAllocation(float(rng.uniform(1e-3, config.p_s_max)),
                                     float(rng.uniform(1e-3, config.p_r_max)))
-            dec = phase.decompose(alloc, ch, k, config)
-            g = model.relay_gain(alloc, ch, k, config)
-            hrp2 = abs(ch.h_rp[k]) ** 2
-            if hrp2 == 0.0 or alloc.p_r == 0.0:
-                continue
-            d2 = abs(dec.b) ** 2 / (g ** 2 * hrp2 * alloc.p_r)
-            ell = d2 - 1.0 / g ** 2
-            worst = max(worst, (ell - 2.0 / g ** 2) * g ** 2)  # normalized slack
+            b = phase.decompose(alloc, ch, k, config).b
+            d2g2 = abs(b) ** 2 / (abs(ch.h_rp[k]) ** 2 * alloc.p_r)
+            worst = max(worst, d2g2 - 3.0)  # normalized slack
+            lo_ratio, hi_ratio = min(lo_ratio, d2g2 / 3.0), max(hi_ratio, d2g2 / 3.0)
             n_cs += 1
     checks.append(LemmaCheck("cross-term-bound", worst <= 1e-9 and n_cs > 0, n_cs,
                              f"max normalized slack {worst:.3e}"))
-
-    # --- the conservative surrogate never understates the coupling term:
-    #     |B|^2 / (3 G^2 |h_rp|^2 p_r / G^2) ratio stays in (0, 1]
-    lo_ratio, hi_ratio = np.inf, -np.inf
-    n_ap = 0
-    for ch in draws:
-        for _ in range(max(1, num_points // (num_draws * 10))):
-            k = int(rng.integers(ch.num_relays))
-            alloc = PowerAllocation(float(rng.uniform(1e-3, config.p_s_max)),
-                                    float(rng.uniform(1e-3, config.p_r_max)))
-            dec = phase.decompose(alloc, ch, k, config)
-            g = model.relay_gain(alloc, ch, k, config)
-            hrp2 = abs(ch.h_rp[k]) ** 2
-            if hrp2 == 0.0 or alloc.p_r == 0.0:
-                continue
-            d2 = abs(dec.b) ** 2 / (g ** 2 * hrp2 * alloc.p_r)
-            ratio = d2 * g ** 2 / 3.0  # coupling term over its conservative bound
-            lo_ratio = min(lo_ratio, ratio)
-            hi_ratio = max(hi_ratio, ratio)
-            n_ap += 1
     checks.append(LemmaCheck("surrogate-conservatism", 0.0 < lo_ratio
-                             and hi_ratio <= 1.0 + 1e-12 and n_ap > 0, n_ap,
+                             and hi_ratio <= 1.0 + 1e-12 and n_cs > 0, n_cs,
                              f"coupling ratio in [{lo_ratio:.4f}, {hi_ratio:.4f}]"))
     return checks
 

@@ -147,15 +147,10 @@ class ChannelRealization:
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """A candidate transmit-power point (source, relay), linear watts.
-
-    ``feasible`` is a tag set by whoever checked a constraint; ``None`` means
-    "not checked".  Box membership is only promised when the tag is True.
-    """
+    """A candidate transmit-power point (source, relay), linear watts."""
 
     p_s: float
     p_r: float
-    feasible: bool | None = None
 
     def __post_init__(self) -> None:
         if not (self.p_s >= 0.0 and self.p_r >= 0.0):

@@ -18,15 +18,16 @@ max over p_r of R(ps_top(p_r), p_r).  ps_top is, per scenario:
 * coherent: the top root of |a| - |b| = +-sqrt(Ibar) along p_s
   (``phase._amp_gap_vals``), bracketed for a whole p_r grid at once by
   scans of the gap's sign, which also finds feasible bands thinner than
-  any grid cell; the winning column's bracket is then shrunk to a point.
+  any grid cell.  Columns are ranked by the chord root of their brackets,
+  and the winning column's bracket is then shrunk to a point.
   Where the winning column tops out at P_s, the edge p_s = P_s stops being
   feasible somewhere before the next column; nested scans along p_r find
   that kink, and its last feasible point is compared in.  The p_r search
-  is a sqrt-spaced grid, then zoom rounds around the argmax.
+  is a sqrt-spaced grid, then zoom rounds around the argmax.  The non-coherent
+  optimum is compared in too, wherever it is coherent-feasible.
 
 Warm points are compared in as lower bounds, so cap sweeps are monotone by
-construction, and a coherent solve given the non-coherent result as its warm
-start is at least as good wherever that point is coherent-feasible.
+construction.
 Every returned allocation satisfies the box and the scenario's EXACT
 interference constraint (within 1e-9 relative).
 """
@@ -70,6 +71,7 @@ _COLUMN_SCANS = (33, 17, 17)  # per coherent column: sqrt p_s grid, 2 refinement
 _SHRINK_GRID = 257      # points per bracket-shrink scan on the winning column
 _SHRINK_ROUNDS = 3      # shrink scans always run; more (up to the max) until
 _SHRINK_ROUNDS_MAX = 8  # the bracket's lower end is feasible
+_UNIT = {n: np.linspace(0.0, 1.0, n) for n in (*_COLUMN_SCANS, _SHRINK_GRID)}
 
 
 def _norm_scenario(scenario: str) -> str:
@@ -151,17 +153,18 @@ def _feasible(ps, pr, channels, k, config, scenario):
 def _envelope(top, rate, pr_hi):
     """Maximize rate(ps_top(p_r), p_r) over p_r in [0, pr_hi] (coherent).
 
-    ``top`` maps a p_r array to (ps_lo, ps_hi) arrays: ps_lo is at most
-    ps_top (negative where the column has no feasible point) and ps_hi bounds
-    it from above (equal to ps_lo where ps_lo is exact).  Returns
+    ``top`` maps a p_r array to (ps_est, ps_lo, ps_hi) arrays: ps_est
+    estimates ps_top and ranks the columns (negative where the column has no
+    feasible point), ps_lo is at most ps_top and ps_hi bounds it from above
+    (equal to ps_lo where ps_lo is exact).  Returns
     (value, p_r, ps_lo, ps_hi, next p_r on its grid) of the best column.
     """
     u = np.linspace(0.0, math.sqrt(pr_hi), _PR_GRID)
     best = (-1.0, 0.0, -1.0, -1.0, 0.0)
     for _ in range(_ZOOM_ROUNDS + 1):
         pr = u * u
-        ps_lo, ps_hi = top(pr)
-        vals = np.where(ps_lo >= 0.0, rate(np.maximum(ps_lo, 0.0), pr), -1.0)
+        ps_est, ps_lo, ps_hi = top(pr)
+        vals = np.where(ps_est >= 0.0, rate(np.maximum(ps_est, 0.0), pr), -1.0)
         j = int(np.argmax(vals))
         if vals[j] > best[0]:
             best = (float(vals[j]), float(pr[j]), float(ps_lo[j]), float(ps_hi[j]),
@@ -176,16 +179,16 @@ def _shrink(gap, pr, lo, hi, root, points):
     Along p_s the signed gap |a| - |b| must stay in [-root, root].  With s the
     gap's sign at the bracket top, f = s*gap - root is > 0 where the top
     overshoots that level; the last scanned point with f <= 0 and its
-    successor are the new bracket.  Returns (lo, hi, f at lo): f(lo) > 0
-    means the column has no feasible point, f(lo) < -2*root that lo still
-    lies below the lower level (only the top root is then feasible).
+    successor are the new bracket.  Returns (lo, hi, f at lo, f at hi):
+    f(lo) > 0 means the column has no feasible point, f(lo) < -2*root that lo
+    still lies below the lower level (only the top root is then feasible).
     """
-    t = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, points)
+    t = lo[:, None] + (hi - lo)[:, None] * _UNIT[points]
     g = gap(t * t, pr[:, None])
     f = np.copysign(1.0, g[:, -1:]) * g - root
     j = points - 1 - np.argmax(f[:, ::-1] <= 0.0, axis=1)
-    rows = np.arange(len(pr))
-    return t[rows, j], t[rows, np.minimum(j + 1, points - 1)], f[rows, j]
+    rows, nxt = np.arange(len(pr)), np.minimum(j + 1, points - 1)
+    return t[rows, j], t[rows, nxt], f[rows, j], f[rows, nxt]
 
 
 def _last_feasible(ok, a, b):
@@ -238,19 +241,21 @@ def _best_point(channels, k, config, scenario, warm):
         def top(pr):  # sqrt-spaced p_s scan of every column, then finer scans
             lo, hi = np.zeros_like(pr), np.full_like(pr, math.sqrt(ps_max))
             for points in _COLUMN_SCANS:
-                lo, hi, f_lo = _shrink(gap, pr, lo, hi, root, points)
-            return np.where(f_lo <= 0.0, lo * lo, -1.0), hi * hi
+                lo, hi, f_lo, f_hi = _shrink(gap, pr, lo, hi, root, points)
+            with np.errstate(invalid="ignore"):  # Ibar = inf: f = -inf and lo == hi
+                est = np.where(hi > lo, lo + (hi - lo) * f_lo / (f_lo - f_hi), lo)
+            return np.where(f_lo <= 0.0, est * est, -1.0), lo * lo, hi * hi
 
         root = math.sqrt(ibar)
         _, pr, ps_lo, ps_hi, pr_next = _envelope(top, rate, pr_max)
-        ps, lo, hi = max(ps_lo, 0.0), np.sqrt([ps_lo]), np.sqrt([ps_hi])
+        ps, lo, hi = ps_lo, np.sqrt([ps_lo]), np.sqrt([ps_hi])
         for rnd in range(_SHRINK_ROUNDS_MAX if ps_lo < ps_hi else 0):
-            lo, hi, f_lo = _shrink(gap, np.array([pr]), lo, hi, root, _SHRINK_GRID)
+            lo, hi, f_lo, _ = _shrink(gap, np.array([pr]), lo, hi, root, _SHRINK_GRID)
             if f_lo[0] >= -2.0 * root:  # lo is above the lower level too
                 ps = float(lo[0] * lo[0])
                 if rnd + 1 >= _SHRINK_ROUNDS:
                     break
-        cands = [(ps, pr)]
+        cands = [(ps, pr)] + _noncoherent_points(channels, k, config)
         if ps_lo == ps_hi:  # the column tops out at P_s: where does that edge end?
             cands.append((ps_max, _last_feasible(
                 lambda x: _feasible(ps_max, x, channels, k, config, COHERENT), pr, pr_next)))
@@ -276,7 +281,7 @@ def alternate_optimize(channels: ChannelRealization, k: int, config: NetworkConf
     search = config.i_bar_p > 0.0  # a zero cap admits only the all-zero allocation
     ps, pr, rate = _best_point(channels, k, config, scenario, warm) if search else (0, 0, 0)
     return RelayResult(relay=k, scenario=scenario, rate=float(rate), converged=True,
-                       alloc=PowerAllocation(float(ps), float(pr), feasible=True),
+                       alloc=PowerAllocation(float(ps), float(pr)),
                        iterations=_ZOOM_ROUNDS if search and scenario == COHERENT else 0)
 
 
@@ -293,7 +298,7 @@ def brute_force(channels: ChannelRealization, k: int, config: NetworkConfig,
     masked = np.where(_feasible(grid_ps, grid_pr, channels, k, config, scenario),
                       _rate_fn(channels, k, config, scenario)(grid_ps, grid_pr), -1.0)
     j = int(np.argmax(masked))  # (0, 0) is always feasible, so masked.flat[j] >= 0
-    alloc = PowerAllocation(float(ps[j // grid_n]), float(pr[j % grid_n]), feasible=True)
+    alloc = PowerAllocation(float(ps[j // grid_n]), float(pr[j % grid_n]))
     return RelayResult(relay=k, scenario=scenario, alloc=alloc, rate=float(masked.flat[j]),
                        iterations=0, converged=True)
 

@@ -232,6 +232,17 @@ def test_lemma_suite_all_pass_small_scale():
         assert isinstance(c.detail, str) and c.detail
 
 
+@pytest.mark.parametrize("points,draws,counts", [
+    (100, 2, [2, 100, 100, 100, 2, 2, 10, 10]),
+    (2000, 50, [50, 2000, 2000, 2000, 50, 50, 200, 200]),
+    (50, 100, [100] * 8),
+])
+def test_lemma_suite_checked_counts(points, draws, counts):
+    checks = lemma_suite(small_config(), base_seed=0, num_points=points, num_draws=draws)
+    assert [c.checked for c in checks] == counts
+    assert all(c.passed for c in checks)
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ The benchmark times every ``solver.solve_network`` call that the harness
 makes, by replacing that module attribute, and its tracer wraps
 ``solver.alternate_optimize`` the same way.  If the harness or the network
 solve stopped calling through those attributes, the benchmark would see no
-calls and print no result.  These tests run the benchmark's own code on a
-small pass; they change nothing under ``perfbench/``.
+calls and print no result.  Its structural workload checks the names, number
+and coverage of ``harness.lemma_suite``'s checks.  These tests run the
+benchmark's own code on small passes; they change nothing under ``perfbench/``.
 """
 
 from pathlib import Path
@@ -37,6 +38,29 @@ def test_cap_sweep_pass_is_timed_and_checked(workloads, tmp_path):
     # 2 scenarios x 4 leakage values x 6 caps, plus 6 half-duplex caps
     assert out.items == 54
     assert len(out.latencies) == 54
+
+
+def test_structural_suite_pass_is_checked(workloads, tmp_path):
+    class SmallSuite(workloads.StructuralSuite):
+        suites = 2
+        points = 200
+        draws = 4
+        coverage = {"noncoh-per-variable-convexity": points,
+                    "coh-per-variable-convexity": points,
+                    "noncoh-zeta0-joint-concavity": points,
+                    "noncoh-joint-nonconvexity-witness": draws,
+                    "coh-joint-nonconvexity-witness": draws}
+
+    bench = SmallSuite(ROOT, seed=1)
+    bench.setup()
+    out = bench.run_pass(tmp_path / "pass.csv")
+    checks = workloads.Checks()
+    bench.check(out, checks)
+    assert checks.failed == 0, checks.messages
+    # per suite: 4 phase instances, 3 x 200 curvature points, 2 x 4 witnesses,
+    # 2 x 20 Cauchy-Schwarz instances
+    assert out.items == 2 * (4 + 600 + 8 + 40)
+    assert len(out.latencies) == 2
 
 
 def test_tracer_sees_every_relay_solve(workloads):

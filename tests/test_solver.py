@@ -241,15 +241,26 @@ def test_solve_network_warm_forms(stock_channels, stock_config):
 
 
 def test_coherent_dominates_noncoherent(stock_config):
-    # given the non-coherent optimum as its warm start, the coherent solve can do
-    # no worse wherever that allocation is coherent-feasible (it is on these draws)
+    # the coherent solve compares in the non-coherent optimum, so it can do no
+    # worse wherever that allocation is coherent-feasible (it is on these draws)
     for seed in range(12):
         channels = fd.sample_channels(stock_config, seed=200 + seed)
         for k in range(stock_config.num_relays):
             nc = fd.alternate_optimize(channels, k, stock_config, NONCOHERENT)
-            co = fd.alternate_optimize(channels, k, stock_config, COHERENT,
-                                       warm_start=nc.alloc)
+            co = fd.alternate_optimize(channels, k, stock_config, COHERENT)
             assert co.rate >= nc.rate - 1e-6
+
+
+def test_cold_coherent_solve_matches_noncoherent_without_a_cap():
+    # with no cap both scenarios maximize the same rate over the power box; the
+    # coherent p_r grid alone misses an optimum this far below P_r (8.15e-5
+    # against 1.2972e-4 bit/s/Hz)
+    cfg = fd.NetworkConfig(num_relays=1, zeta=253.7, p_s_max=0.2715, p_r_max=7.68e8,
+                           i_bar_p=math.inf)
+    channels = fd.sample_channels(cfg, seed=333636)
+    nc = fd.alternate_optimize(channels, 0, cfg, NONCOHERENT)
+    co = fd.alternate_optimize(channels, 0, cfg, COHERENT)
+    assert co.rate == pytest.approx(nc.rate, rel=1e-12)
 
 
 def test_coherent_can_trail_noncoherent_when_its_optimum_is_infeasible():
@@ -290,6 +301,18 @@ def test_coherent_top_edge_kink():
     assert co.rate >= 3.838616
     assert fd.interference_coh(co.alloc, channels, 0, cfg) <= cap_slack(cfg)
     assert co.rate == pytest.approx(fd.rate_exact(co.alloc, channels, 0, cfg), rel=1e-12)
+
+
+def test_coherent_columns_ranked_by_chord_root():
+    # near p_r = P_r the envelope rises more slowly than the column scans' p_s
+    # grid step, so ranking columns by their bracket's lower end picked
+    # p_r = 99.655 (0.121877); a dense scan of p_r in [90, 100] finds 0.122056
+    cfg = dataclasses.replace(harness.load_config(CONFIG_DIR / "stock8.cfg"),
+                              i_bar_p=fd.db_to_linear(-10.0))
+    channels = fd.sample_channels(cfg, seed=3)
+    res = fd.alternate_optimize(channels, 3, cfg, COHERENT)
+    assert res.rate >= 0.122061
+    assert fd.interference_coh(res.alloc, channels, 3, cfg) <= cap_slack(cfg)
 
 
 def _log10_uniform(lo, hi):
