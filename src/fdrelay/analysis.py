@@ -353,7 +353,8 @@ def convexified_curvatures(channels: ChannelRealization, k: int,
 # ----------------------------------------------------------------------------
 
 def _steps(x: float, y: float, rel_step: float) -> tuple[float, float]:
-    return rel_step * max(abs(x), rel_step), rel_step * max(abs(y), rel_step)
+    # relative to |x| even below rel_step, so x +- h keeps x's sign; rel_step^2 at x = 0
+    return rel_step * (abs(x) or rel_step), rel_step * (abs(y) or rel_step)
 
 
 def numeric_gradient(fn, x: float, y: float, rel_step: float = 1e-4) -> np.ndarray:

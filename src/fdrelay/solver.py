@@ -24,12 +24,14 @@ max over p_r of R(ps_top(p_r), p_r).  ps_top is, per scenario:
   feasible somewhere before the next column; nested scans along p_r find
   that kink, and its last feasible point is compared in.  The p_r search
   is a sqrt-spaced grid, then zoom rounds around the argmax.  The non-coherent
-  optimum is compared in too, wherever it is coherent-feasible.
+  optimum is compared in too, wherever it is coherent-feasible.  Every
+  column's scan starts at the Cauchy-Schwarz cap ``_source_cap``, not at P_s.
 
 Warm points are compared in as lower bounds, so cap sweeps are monotone by
 construction.
 Every returned allocation satisfies the box and the scenario's EXACT
-interference constraint (within 1e-9 relative).
+interference constraint (within 1e-9 relative).  A coherent network solve
+skips relays that a certified rate bound rules out (``solve_network``).
 """
 
 from __future__ import annotations
@@ -69,9 +71,9 @@ _ZOOM_GRID = 33         # relay powers per zoom round around the argmax
 _ZOOM_ROUNDS = 2
 _COLUMN_SCANS = (33, 17, 17)  # per coherent column: sqrt p_s grid, 2 refinements
 _SHRINK_GRID = 257      # points per bracket-shrink scan on the winning column
-_SHRINK_ROUNDS = 3      # shrink scans always run; more (up to the max) until
-_SHRINK_ROUNDS_MAX = 8  # the bracket's lower end is feasible
+_SHRINK_ROUNDS = 3      # bracket-shrink scans on the winning column
 _UNIT = {n: np.linspace(0.0, 1.0, n) for n in (*_COLUMN_SCANS, _SHRINK_GRID)}
+_BOUND_CELLS = 256      # sqrt p_r cells of the coherent rate bound
 
 
 def _norm_scenario(scenario: str) -> str:
@@ -90,7 +92,7 @@ class RelayResult:
     scenario: str
     alloc: PowerAllocation
     rate: float            # exact achievable rate at alloc (always the reported figure)
-    iterations: int        # coherent p_r zoom rounds, else 0; read by the benchmark's tracer
+    iterations: int        # coherent p_r zoom rounds, else 0 (skips too); the tracer reads it
     converged: bool        # always True; kept only because the benchmark's tracer reads it
 
 
@@ -136,9 +138,13 @@ def _rate_fn(channels, k, config, scenario):
     return lambda ps, pr: model._rate_exact_vals(ps, pr, hsr2, hrd2, zh, s2r, s2d)
 
 
+def _slack_cap(config) -> float:  # the interference cap with the solver's feasibility slack
+    return config.i_bar_p * (1.0 + 1e-9) + 1e-12
+
+
 def _feasible(ps, pr, channels, k, config, scenario):
     """Box and EXACT scenario constraint, elementwise, with the solver's slack."""
-    cap = config.i_bar_p * (1.0 + 1e-9) + 1e-12
+    cap = _slack_cap(config)
     _, _, hsp2, hrp2 = _gains(channels, k)
     if scenario == NONCOHERENT:
         ok = hsp2 * ps + hrp2 * (1.0 + config.zeta) * pr <= cap
@@ -204,6 +210,37 @@ def _last_feasible(ok, a, b):
     return a
 
 
+def _source_cap(u, hsp2, hrp2, config):
+    """sqrt(P_s), clipped to a bound on sqrt(p_s) of every coherent-feasible point at
+    sqrt(p_r) = u (an array; ``_coherent_bound``); none if |h_sp| = 0 or Ibar = inf."""
+    slope = math.sqrt(hrp2) * (math.sqrt(config.zeta) + math.sqrt(3.0))
+    t = (math.sqrt(_slack_cap(config)) + slope * u) * _cap_ratio(1.0 + 1e-6, math.sqrt(hsp2))
+    return np.minimum(t, math.sqrt(config.p_s_max))
+
+
+def _coherent_bound(channels, k, config) -> float:
+    """Upper bound on relay k's coherent optimum and on any rate the solver reports.
+
+    With t = sqrt(p_s), u = sqrt(p_r), a feasible point has |a| - |b| <= sqrt(Ibar)
+    (with the solver's slack), |b| <= sqrt(3) |h_rp| u (Cauchy-Schwarz on the relay's
+    composite) and |a| >= |h_sp| t - |h_rp| sqrt(zeta) u, so t <= t_ub(u) =
+    (sqrt(Ibar) + |h_rp| (sqrt(zeta) + sqrt(3)) u) / |h_sp| (``_source_cap``, 1e-6
+    margin), which rises in u: on a cell [u1, u2] of [0, sqrt(P_r)], p_s <= ps_ub =
+    t_ub(u2)^2.  R rises in p_s; at fixed p_s it falls in the convex
+    phi = c0 + c2 p_r + c1/p_r, c1 = s2d/|h_rd|^2 (1 + s2r/(|h_sr|^2 p_s)),
+    c2 = zeta_hat/(|h_sr|^2 p_s), least at p_r = sqrt(c1/c2) (the cell top if
+    zeta_hat = 0).  R(ps_ub, that p_r clipped to [u1^2, u2^2]) bounds the cell; the
+    largest of the _BOUND_CELLS cells bounds relay k."""
+    hsr2, hrd2, hsp2, hrp2 = _gains(channels, k)
+    s2r, s2d = config.sigma2_relay, config.sigma2_dest
+    zh = model.zeta_hat(channels, k, config)
+    u = np.linspace(0.0, math.sqrt(config.p_r_max), _BOUND_CELLS + 1)
+    ps = _source_cap(u[1:], hsp2, hrp2, config) ** 2
+    with np.errstate(divide="ignore", over="ignore"):  # inf where zh |h_rd|^2 = 0
+        pr = np.clip(np.sqrt(s2d * (ps * hsr2 + s2r) / (hrd2 * zh)), u[:-1] ** 2, u[1:] ** 2)
+    return float(np.max(model._rate_exact_vals(ps, pr, hsr2, hrd2, zh, s2r, s2d)))
+
+
 def _noncoherent_points(channels, k, config):
     """The exact minimizer of phi = 1/x + 1/y + 1/(xy) on each non-coherent envelope
     piece (module docstring); a zero |h_sr| or |h_rd| rates every point 0."""
@@ -225,6 +262,15 @@ def _noncoherent_points(channels, k, config):
     return points
 
 
+def _pick(channels, k, config, scenario, rate, cands, warm):
+    """(p_s, p_r, rate) of the best feasible (p_s, p_r) candidate or warm allocation."""
+    best, best_v = (0.0, 0.0), 0.0
+    for p in cands + [(w.p_s, w.p_r) for w in warm]:
+        if _feasible(p[0], p[1], channels, k, config, scenario) and rate(*p) > best_v:
+            best, best_v = p, float(rate(*p))
+    return (*best, best_v)
+
+
 def _best_point(channels, k, config, scenario, warm):
     """(p_s, p_r, rate) of the best feasible point found for relay k."""
     _, _, hsp2, hrp2 = _gains(channels, k)
@@ -239,7 +285,7 @@ def _best_point(channels, k, config, scenario, warm):
             return phase._amp_gap_vals(ps, pr, channels, k, config)
 
         def top(pr):  # sqrt-spaced p_s scan of every column, then finer scans
-            lo, hi = np.zeros_like(pr), np.full_like(pr, math.sqrt(ps_max))
+            lo, hi = np.zeros_like(pr), _source_cap(np.sqrt(pr), hsp2, hrp2, config)
             for points in _COLUMN_SCANS:
                 lo, hi, f_lo, f_hi = _shrink(gap, pr, lo, hi, root, points)
             with np.errstate(invalid="ignore"):  # Ibar = inf: f = -inf and lo == hi
@@ -249,21 +295,21 @@ def _best_point(channels, k, config, scenario, warm):
         root = math.sqrt(ibar)
         _, pr, ps_lo, ps_hi, pr_next = _envelope(top, rate, pr_max)
         ps, lo, hi = ps_lo, np.sqrt([ps_lo]), np.sqrt([ps_hi])
-        for rnd in range(_SHRINK_ROUNDS_MAX if ps_lo < ps_hi else 0):
+        for _ in range(_SHRINK_ROUNDS if ps_lo < ps_hi else 0):
             lo, hi, f_lo, _ = _shrink(gap, np.array([pr]), lo, hi, root, _SHRINK_GRID)
             if f_lo[0] >= -2.0 * root:  # lo is above the lower level too
                 ps = float(lo[0] * lo[0])
-                if rnd + 1 >= _SHRINK_ROUNDS:
-                    break
         cands = [(ps, pr)] + _noncoherent_points(channels, k, config)
         if ps_lo == ps_hi:  # the column tops out at P_s: where does that edge end?
             cands.append((ps_max, _last_feasible(
                 lambda x: _feasible(ps_max, x, channels, k, config, COHERENT), pr, pr_next)))
-    best, best_v = (0.0, 0.0), 0.0
-    for p in cands + [(w.p_s, w.p_r) for w in warm]:
-        if _feasible(p[0], p[1], channels, k, config, scenario) and rate(*p) > best_v:
-            best, best_v = p, float(rate(*p))
-    return (*best, best_v)
+    return _pick(channels, k, config, scenario, rate, cands, warm)
+
+
+def _relay_result(k, scenario, point, iterations) -> RelayResult:
+    ps, pr, rate = point
+    return RelayResult(relay=k, scenario=scenario, rate=float(rate), converged=True,
+                       alloc=PowerAllocation(float(ps), float(pr)), iterations=iterations)
 
 
 # ----------------------------------------------------------------------------
@@ -279,10 +325,9 @@ def alternate_optimize(channels: ChannelRealization, k: int, config: NetworkConf
     scenario = _norm_scenario(scenario)
     warm = [warm_start] if isinstance(warm_start, PowerAllocation) else list(warm_start or ())
     search = config.i_bar_p > 0.0  # a zero cap admits only the all-zero allocation
-    ps, pr, rate = _best_point(channels, k, config, scenario, warm) if search else (0, 0, 0)
-    return RelayResult(relay=k, scenario=scenario, rate=float(rate), converged=True,
-                       alloc=PowerAllocation(float(ps), float(pr)),
-                       iterations=_ZOOM_ROUNDS if search and scenario == COHERENT else 0)
+    point = _best_point(channels, k, config, scenario, warm) if search else (0, 0, 0)
+    return _relay_result(k, scenario, point,
+                         _ZOOM_ROUNDS if search and scenario == COHERENT else 0)
 
 
 def brute_force(channels: ChannelRealization, k: int, config: NetworkConfig,
@@ -298,9 +343,7 @@ def brute_force(channels: ChannelRealization, k: int, config: NetworkConfig,
     masked = np.where(_feasible(grid_ps, grid_pr, channels, k, config, scenario),
                       _rate_fn(channels, k, config, scenario)(grid_ps, grid_pr), -1.0)
     j = int(np.argmax(masked))  # (0, 0) is always feasible, so masked.flat[j] >= 0
-    alloc = PowerAllocation(float(ps[j // grid_n]), float(pr[j % grid_n]))
-    return RelayResult(relay=k, scenario=scenario, alloc=alloc, rate=float(masked.flat[j]),
-                       iterations=0, converged=True)
+    return _relay_result(k, scenario, (ps[j // grid_n], pr[j % grid_n], masked.flat[j]), 0)
 
 
 def select_relay(results) -> SolveResult:
@@ -314,17 +357,35 @@ def select_relay(results) -> SolveResult:
 
 def solve_network(channels: ChannelRealization, config: NetworkConfig,
                   scenario: str, warm: SolveResult | None = None) -> SolveResult:
-    """Solve every relay and select.
+    """Solve the relays and select.
 
     ``warm`` (one SolveResult or a sequence of them) recycles previous
     per-relay allocations as lower bounds: each result is at least as good as
     its best feasible warm point, which makes interference cap sweeps
     monotone.
+
+    A coherent solve over several relays takes them in descending order of
+    ``_coherent_bound`` and skips a relay whose bound is below a rate already
+    solved: it cannot win, so the selection and its rate, tie-break included,
+    are those of solving every relay.  A skipped relay's RelayResult
+    (iterations=0) is its best feasible non-coherent closed-form or warm
+    point, a lower bound on its optimum, not the optimum.
     """
     scenario = _norm_scenario(scenario)
     warms = [warm] if isinstance(warm, SolveResult) else list(warm or [])
     warms = [w for w in warms if w is not None]
-    return select_relay(
-        alternate_optimize(channels, k, config, scenario,
-                           warm_start=[w.relays[k].alloc for w in warms])
-        for k in range(channels.num_relays))
+    relays = range(channels.num_relays)
+    bounds = ([_coherent_bound(channels, k, config) for k in relays]
+              if scenario == COHERENT and len(relays) > 1 else [math.inf] * len(relays))
+    results, best = [None] * len(relays), -math.inf
+    for k in sorted(relays, key=bounds.__getitem__, reverse=True):  # ties keep index order
+        warm_k = [w.relays[k].alloc for w in warms]
+        if bounds[k] * (1.0 + 1e-9) < best:
+            point = _pick(channels, k, config, scenario,
+                          _rate_fn(channels, k, config, scenario),
+                          _noncoherent_points(channels, k, config), warm_k)
+            results[k] = _relay_result(k, scenario, point, 0)
+        else:
+            results[k] = alternate_optimize(channels, k, config, scenario, warm_start=warm_k)
+            best = max(best, results[k].rate)
+    return select_relay(results)

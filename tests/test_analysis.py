@@ -281,3 +281,17 @@ def test_numeric_oracles_on_known_function():
     assert hess[0, 0] == pytest.approx(6 * 1.5 * 2.0, rel=1e-4)
     assert hess[0, 1] == pytest.approx(3 * 1.5 ** 2, rel=1e-4)
     assert hess[1, 1] == pytest.approx(4.0, rel=1e-4)
+
+
+def test_numeric_steps_keep_a_small_positive_coordinate_positive():
+    # a witness can sit at p_s ~ 1e-8; a step floored at rel_step^2 = 1e-8
+    # probed a negative power there
+    probes = []
+
+    def fn(x, y):
+        probes.append(x)
+        return x * y
+
+    fd.numeric_hessian(fn, 5e-9, 1.0)
+    fd.numeric_gradient(fn, 5e-9, 1.0)
+    assert min(probes) > 0.0

@@ -66,6 +66,13 @@ def test_verify_pass(tmp_path, capsys):
     assert "suite" in out
 
 
+def test_verify_default_config_at_a_near_zero_witness(capsys):
+    code = cli.main(["verify", "--seed", "180200", "--points", "10000", "--draws", "100"])
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert code == 0
+    assert last.startswith("suite") and last.endswith("PASS")
+
+
 def test_verify_failure_exit_code(tmp_path, capsys):
     # zero leakage has no nonconvex region, so the witness checks cannot run
     # and must report failure rather than vacuous success

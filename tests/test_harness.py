@@ -243,6 +243,14 @@ def test_lemma_suite_checked_counts(points, draws, counts):
     assert all(c.passed for c in checks)
 
 
+def test_lemma_suite_passes_where_a_witness_sits_near_zero_power():
+    # a non-coherent witness here has p_s ~ 9e-9, below the old finite-difference
+    # step floor; the suite raised ValueError instead of reporting
+    checks = lemma_suite(harness.default_config(), 180200, num_points=10_000, num_draws=100)
+    assert {c.name for c in checks} == LEMMA_NAMES
+    assert all(c.passed for c in checks), [c.detail for c in checks if not c.passed]
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fdrelay as fd
-from fdrelay import COHERENT, HD_BASELINE, NONCOHERENT, harness
+from fdrelay import COHERENT, HD_BASELINE, NONCOHERENT, harness, solver
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -315,6 +316,67 @@ def test_coherent_columns_ranked_by_chord_root():
     assert fd.interference_coh(res.alloc, channels, 3, cfg) <= cap_slack(cfg)
 
 
+@pytest.mark.parametrize("p_s_max,p_r_max,i_bar_p,zeta,seed,dense", [
+    (1.037e8, 0.02268, 1.913e-6, 1.571, 749947401, 2.770227e-3),
+    (1.698e7, 1.096e-7, 3.301e-9, 6.078, 554799187, 7.367880e-15),
+    (37.2831, 3.56907e-8, 1.14261e-3, 777626.8, 475310, 3.821367e-12),
+])
+def test_coherent_column_scan_capped_far_below_p_s(p_s_max, p_r_max, i_bar_p, zeta,
+                                                   seed, dense):
+    # every feasible p_s lies far below P_s, so column scans over [0, P_s] put
+    # all their points in the first cell (4.36e-9, 0 and 3.7973e-12 bit/s/Hz).
+    # `dense` is the best of 4,096 sqrt-spaced p_r columns, each bisected to its
+    # top feasible p_s and re-checked through the public functions
+    cfg = fd.NetworkConfig(num_relays=1, zeta=zeta, p_s_max=p_s_max, p_r_max=p_r_max,
+                           i_bar_p=i_bar_p)
+    channels = fd.sample_channels(cfg, seed=seed)
+    res = fd.alternate_optimize(channels, 0, cfg, COHERENT)
+    assert fd.interference_coh(res.alloc, channels, 0, cfg) <= i_bar_p
+    assert res.rate >= dense * (1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("cfg_name", ["stock8.cfg", "strong-leakage.cfg"])
+def test_coherent_relay_skipping_keeps_the_selection(cfg_name):
+    # a relay is skipped only when its certified bound is below a rate already
+    # solved, so the selection and its rate equal those of solving every relay
+    base = harness.load_config(CONFIG_DIR / cfg_name)
+    ibars = [fd.db_to_linear(db) for db in (-10.0, 0.0, 10.0, 30.0)] + [math.inf]
+    for seed in range(30):
+        channels = fd.sample_channels(base, seed=seed)
+        for i_bar_p, zeta in itertools.product(ibars, (0.0, 1e-3, 0.4)):
+            cfg = dataclasses.replace(base, i_bar_p=i_bar_p, zeta=zeta)
+            res = fd.solve_network(channels, cfg, COHERENT)
+            every = fd.select_relay(fd.alternate_optimize(channels, k, cfg, COHERENT)
+                                    for k in range(cfg.num_relays))
+            assert (res.selected, res.rate) == (every.selected, every.rate), (seed, cfg)
+
+
+def test_skipped_relays_keep_their_best_feasible_fallback():
+    base = harness.load_config(CONFIG_DIR / "stock8.cfg")
+    skipped = 0
+    for seed in range(4):
+        channels = fd.sample_channels(base, seed=seed)
+        warm = None
+        for ibar_db in (0.0, 5.0, 10.0):
+            cfg = dataclasses.replace(base, i_bar_p=fd.db_to_linear(ibar_db))
+            res = fd.solve_network(channels, cfg, COHERENT, warm=warm)
+            for k, r in enumerate(res.relays):
+                if r.iterations:  # solved, not skipped
+                    continue
+                skipped += 1
+                assert fd.interference_coh(r.alloc, channels, k, cfg) <= cap_slack(cfg)
+                assert r.rate == pytest.approx(fd.rate_exact(r.alloc, channels, k, cfg),
+                                               rel=1e-12)
+                points = [fd.PowerAllocation(*p)
+                          for p in solver._noncoherent_points(channels, k, cfg)]
+                points += [warm.relays[k].alloc] if warm else []
+                for p in points:
+                    if fd.interference_coh(p, channels, k, cfg) <= cfg.i_bar_p:
+                        assert r.rate >= fd.rate_exact(p, channels, k, cfg) * (1.0 - 1e-12)
+            warm = res
+    assert skipped > 0
+
+
 def _log10_uniform(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
 
@@ -332,6 +394,8 @@ def test_envelope_invariants_over_extreme_ranges(p_s_max, p_r_max, i_bar_p, zeta
     channels = fd.sample_channels(cfg, seed=seed)
     res = fd.alternate_optimize(channels, 0, cfg, scenario)
     assert interference(scenario, res.alloc, channels, 0, cfg) <= cap_slack(cfg)
+    if scenario == COHERENT:
+        assert solver._coherent_bound(channels, 0, cfg) >= res.rate * (1.0 - 1e-9)
     assert res.rate >= fd.brute_force(channels, 0, cfg, scenario, grid_n=51).rate - 1e-9
     wider = dataclasses.replace(cfg, i_bar_p=10.0 * i_bar_p)
     grown = fd.alternate_optimize(channels, 0, wider, scenario, warm_start=res.alloc)
