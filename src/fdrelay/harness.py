@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 
@@ -74,6 +75,11 @@ class ExperimentSpec:
         if not (self.scenarios and self.zeta_list and self.i_bar_p_db_list
                 and self.p_max_db_list):
             raise ValueError("scenario and sweep lists must be nonempty")
+        if not all(math.isfinite(v) for v in (*self.zeta_list, *self.p_max_db_list,
+                                              self.fixed_db)):
+            raise ValueError("zeta, p_max_db and fixed_db values must be finite")
+        if any(math.isnan(v) for v in self.i_bar_p_db_list):  # +-inf dB: no cap, zero cap
+            raise ValueError("i_bar_p_db values must not be NaN")
         if any(z < 0 for z in self.zeta_list):
             raise ValueError("zeta values must be >= 0")
         if self.num_realizations < 1:
@@ -188,22 +194,27 @@ def _run_cap_sweep(spec, config, draw) -> list[ResultRow]:
     for p_max_db in spec.p_max_db_list:
         for zeta in spec.zeta_list:
             base = _base_config(config, zeta, p_max_db)
+            cfgs = [dataclasses.replace(base, i_bar_p=model.db_to_linear(ibar_db))
+                    for ibar_db in ibar_dbs]
+            caps = [cfg.i_bar_p for cfg in cfgs]
             for r in range(spec.num_realizations):
                 seed = spec.base_seed + r
                 ch = draw(seed)
                 digest = channel_digest(ch)
+                oracles = {}  # per scenario, the best relay's oracle rate at each cap
+                for scen in spec.scenarios if want_oracle else ():
+                    per_relay = [solver._oracle_sweep(ch, k, base, scen, caps, spec.grid_n)
+                                 for k in range(ch.num_relays)]
+                    oracles[scen] = [max(r.rate for r in at_cap) for at_cap in zip(*per_relay)]
                 warm: dict[str, solver.SolveResult | None] = {
                     s: None for s in spec.scenarios}
-                for ibar_db in ibar_dbs:
-                    cfg = dataclasses.replace(base, i_bar_p=model.db_to_linear(ibar_db))
+                for i, (ibar_db, cfg) in enumerate(zip(ibar_dbs, cfgs)):
                     for scen in spec.scenarios:
                         res = solver.solve_network(ch, cfg, scen, warm=warm[scen])
                         warm[scen] = res
                         oracle = gap = None
                         if want_oracle:
-                            oracle = max(
-                                solver.brute_force(ch, k, cfg, scen, spec.grid_n).rate
-                                for k in range(ch.num_relays))
+                            oracle = oracles[scen][i]
                             gap = (100.0 * (oracle - res.rate) / oracle
                                    if oracle > 0.0 else 0.0)
                         rows.append(ResultRow(

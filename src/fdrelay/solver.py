@@ -32,6 +32,11 @@ construction.
 Every returned allocation satisfies the box and the scenario's EXACT
 interference constraint (within 1e-9 relative).  A coherent network solve
 skips relays that a certified rate bound rules out (``solve_network``).
+
+The lattice oracle (``brute_force``) evaluates the exact rate and the
+scenario's interference load on a grid_n x grid_n power lattice.  Neither
+depends on the cap, so ``_oracle_sweep`` builds both once and serves a whole
+cap sweep by masking the load at each cap and taking the first maximum.
 """
 
 from __future__ import annotations
@@ -138,20 +143,24 @@ def _rate_fn(channels, k, config, scenario):
     return lambda ps, pr: model._rate_exact_vals(ps, pr, hsr2, hrd2, zh, s2r, s2d)
 
 
-def _slack_cap(config) -> float:  # the interference cap with the solver's feasibility slack
-    return config.i_bar_p * (1.0 + 1e-9) + 1e-12
+def _slack_cap(i_bar_p: float) -> float:  # the cap with the solver's feasibility slack
+    return i_bar_p * (1.0 + 1e-9) + 1e-12
+
+
+def _load(ps, pr, channels, k, config, scenario):
+    """The EXACT scenario constraint's left-hand side, elementwise; it does not
+    depend on the cap (half duplex: the larger of the two slots' loads)."""
+    _, _, hsp2, hrp2 = _gains(channels, k)
+    if scenario == NONCOHERENT:
+        return hsp2 * ps + hrp2 * (1.0 + config.zeta) * pr
+    if scenario == COHERENT:
+        return phase._interference_coh_vals(ps, pr, channels, k, config)
+    return np.maximum(hsp2 * ps, hrp2 * pr)
 
 
 def _feasible(ps, pr, channels, k, config, scenario):
     """Box and EXACT scenario constraint, elementwise, with the solver's slack."""
-    cap = _slack_cap(config)
-    _, _, hsp2, hrp2 = _gains(channels, k)
-    if scenario == NONCOHERENT:
-        ok = hsp2 * ps + hrp2 * (1.0 + config.zeta) * pr <= cap
-    elif scenario == COHERENT:
-        ok = phase._interference_coh_vals(ps, pr, channels, k, config) <= cap
-    else:
-        ok = (hsp2 * ps <= cap) & (hrp2 * pr <= cap)
+    ok = _load(ps, pr, channels, k, config, scenario) <= _slack_cap(config.i_bar_p)
     return (ok & (0.0 <= ps) & (ps <= config.p_s_max * (1 + 1e-12))
             & (0.0 <= pr) & (pr <= config.p_r_max * (1 + 1e-12)))
 
@@ -214,7 +223,8 @@ def _source_cap(u, hsp2, hrp2, config):
     """sqrt(P_s), clipped to a bound on sqrt(p_s) of every coherent-feasible point at
     sqrt(p_r) = u (an array; ``_coherent_bound``); none if |h_sp| = 0 or Ibar = inf."""
     slope = math.sqrt(hrp2) * (math.sqrt(config.zeta) + math.sqrt(3.0))
-    t = (math.sqrt(_slack_cap(config)) + slope * u) * _cap_ratio(1.0 + 1e-6, math.sqrt(hsp2))
+    t = ((math.sqrt(_slack_cap(config.i_bar_p)) + slope * u)
+         * _cap_ratio(1.0 + 1e-6, math.sqrt(hsp2)))
     return np.minimum(t, math.sqrt(config.p_s_max))
 
 
@@ -330,20 +340,35 @@ def alternate_optimize(channels: ChannelRealization, k: int, config: NetworkConf
                          _ZOOM_ROUNDS if search and scenario == COHERENT else 0)
 
 
-def brute_force(channels: ChannelRealization, k: int, config: NetworkConfig,
-                scenario: str, grid_n: int = 201) -> RelayResult:
-    """Exhaustive lattice oracle: exact rate on a grid_n x grid_n power box,
-    exact scenario constraint, first-maximum tie-break (deterministic)."""
+def _oracle_sweep(channels, k, config, scenario, caps, grid_n):
+    """``brute_force`` at each interference cap in ``caps`` (config.i_bar_p is
+    not read): the rate and load lattices do not depend on the cap, so they are
+    built once and each cap only masks them and takes the first maximum."""
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     scenario = _norm_scenario(scenario)
     ps = np.linspace(0.0, config.p_s_max, grid_n)
     pr = np.linspace(0.0, config.p_r_max, grid_n)
     grid_ps, grid_pr = ps[:, None], pr[None, :]
-    masked = np.where(_feasible(grid_ps, grid_pr, channels, k, config, scenario),
-                      _rate_fn(channels, k, config, scenario)(grid_ps, grid_pr), -1.0)
-    j = int(np.argmax(masked))  # (0, 0) is always feasible, so masked.flat[j] >= 0
-    return _relay_result(k, scenario, (ps[j // grid_n], pr[j % grid_n], masked.flat[j]), 0)
+    # linspace ends exactly at the box corner, within _feasible's 1e-12 box
+    # slack, so the cap is the only mask the lattice needs
+    rate = _rate_fn(channels, k, config, scenario)(grid_ps, grid_pr)
+    load = _load(grid_ps, grid_pr, channels, k, config, scenario)
+    results = []
+    for cap in caps:
+        masked = np.where(load <= _slack_cap(cap), rate, -1.0)
+        j = int(np.argmax(masked))  # (0, 0) is always feasible, so masked.flat[j] >= 0
+        results.append(_relay_result(
+            k, scenario, (ps[j // grid_n], pr[j % grid_n], masked.flat[j]), 0))
+    return results
+
+
+def brute_force(channels: ChannelRealization, k: int, config: NetworkConfig,
+                scenario: str, grid_n: int = 201) -> RelayResult:
+    """Exhaustive lattice oracle: exact rate on a grid_n x grid_n power box,
+    exact scenario constraint, first-maximum tie-break (deterministic).  The
+    lattice is ``_oracle_sweep``'s, which serves a whole cap sweep at once."""
+    return _oracle_sweep(channels, k, config, scenario, (config.i_bar_p,), grid_n)[0]
 
 
 def select_relay(results) -> SolveResult:

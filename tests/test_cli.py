@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fdrelay import cli
+from fdrelay import cli, solver
 
 TINY_CFG = """\
 num_relays = 2
@@ -140,9 +140,14 @@ def test_argparse_rejections(argv):
     ["run", "--experiment", "rate-vs-ibar", "--scenarios", "telepathic"],
     ["oracle-gap", "--grid-n", "1"],
     ["oracle-gap", "--realizations", "0"],
+    ["oracle-gap", "--ibar-db", "0,nan,inf", "--realizations", "1"],
+    ["run", "--experiment", "rate-vs-ibar", "--zetas", "0.001,inf"],
 ])
-def test_bad_sweep_arguments_exit_2(argv, tmp_path, capsys):
-    # the experiment spec's ValueError is reported like a bad config
+def test_bad_sweep_arguments_exit_2(argv, tmp_path, capsys, monkeypatch):
+    # the experiment spec's ValueError is reported like a bad config, before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the sweep arguments were checked")
+    monkeypatch.setattr(solver, "solve_network", no_solve)
     out = ["--out", str(tmp_path / "x.csv")] if argv[0] == "run" else []
     assert cli.main(argv + out) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,8 @@ from fdrelay.harness import (CSV_COLUMNS, UNCONSTRAINED, ExperimentSpec,
                              channel_digest, default_config, emit_csv,
                              lemma_suite, load_config, parse_config_text,
                              run_experiment)
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 LEMMA_NAMES = {
     "phase-alignment-optimality",
@@ -42,10 +46,23 @@ def small_config(num_relays=2):
     {"name": "rate-vs-ibar", "num_realizations": 0},
     {"name": "optimality-gap", "grid_n": 1},
     {"name": "rate-vs-ibar", "scenarios": ("telepathic",)},
+    {"name": "optimality-gap", "i_bar_p_db_list": (0.0, float("nan"), float("inf"))},
+    {"name": "rate-vs-ibar", "zeta_list": (float("nan"),)},
+    {"name": "rate-vs-ibar", "zeta_list": (float("inf"),)},
+    {"name": "rate-vs-ibar", "p_max_db_list": (float("-inf"),)},
+    {"name": "rate-vs-ibar", "p_max_db_list": (float("nan"),)},
+    {"name": "rate-vs-pr", "fixed_db": float("inf")},
+    {"name": "rate-vs-ps", "fixed_db": float("nan")},
 ])
 def test_spec_validation(bad):
     with pytest.raises(ValueError):
         ExperimentSpec(**bad)
+
+
+def test_spec_keeps_infinite_caps():
+    # +inf dB is no interference cap, -inf dB a zero cap
+    spec = ExperimentSpec(name="rate-vs-ibar", i_bar_p_db_list=(float("inf"), float("-inf")))
+    assert spec.i_bar_p_db_list == (math.inf, -math.inf)
 
 
 def test_spec_normalizes_aliases_and_floats():
@@ -132,6 +149,19 @@ def test_optimality_gap_rows():
         assert r.oracle_rate is not None and r.gap_pct is not None
         assert r.gap_pct <= 3.0  # envelope solve against a 101-point lattice
         assert r.oracle_rate >= 0.0
+
+
+def test_optimality_gap_csv_is_pinned(tmp_path):
+    # the per-realization oracle lattices must reproduce these bytes exactly
+    spec = ExperimentSpec(name="optimality-gap",
+                          scenarios=(fd.NONCOHERENT, fd.COHERENT, fd.HD_BASELINE),
+                          zeta_list=(0.0, 0.4), i_bar_p_db_list=(30.0, -10.0, 0.0, 10.0),
+                          num_realizations=2, base_seed=5, grid_n=51)
+    rows = run_experiment(spec, load_config(CONFIG_DIR / "stock8.cfg"))
+    emit_csv(rows, tmp_path / "gap.csv")
+    assert len(rows) == 48
+    assert hashlib.sha256((tmp_path / "gap.csv").read_bytes()).hexdigest() == (
+        "0da7e3ff0ca7b7bf149da65c7c1dabf208746f6e0f17b3a735a50e0ad31b7efd")
 
 
 @pytest.mark.parametrize("name", ["rate-vs-pr", "rate-vs-ps"])
@@ -305,10 +335,9 @@ def test_load_config(tmp_path):
 
 
 def test_shipped_configs_parse():
-    config_dir = Path(__file__).resolve().parents[1] / "configs"
     for name, relays in (("stock8.cfg", 8), ("single-relay.cfg", 1),
                          ("strong-leakage.cfg", 10)):
-        cfg = load_config(config_dir / name)
+        cfg = load_config(CONFIG_DIR / name)
         assert cfg.num_relays == relays
 
 

@@ -40,6 +40,21 @@ def test_cap_sweep_pass_is_timed_and_checked(workloads, tmp_path):
     assert len(out.latencies) == 54
 
 
+def test_oracle_gap_pass_is_timed_and_checked(workloads, tmp_path):
+    class OneRealization(workloads.OracleGap):
+        realizations = 1
+
+    bench = OneRealization(ROOT, seed=1)
+    bench.setup()
+    out = bench.run_pass(tmp_path / "pass.csv")
+    checks = workloads.Checks()
+    bench.check(out, checks)
+    assert checks.failed == 0, checks.messages
+    # 2 scenarios x 6 caps, each row gap-checked against the lattice oracle
+    assert out.items == 12
+    assert len(out.latencies) == 12
+
+
 def test_structural_suite_pass_is_checked(workloads, tmp_path):
     class SmallSuite(workloads.StructuralSuite):
         suites = 2

@@ -13,6 +13,10 @@ from fdrelay import COHERENT, HD_BASELINE, NONCOHERENT, harness, solver
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
+def _log10_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
 def cap_slack(config):
     return config.i_bar_p * (1 + 1e-9) + 1e-12
 
@@ -210,6 +214,47 @@ def test_brute_force_validates_grid(stock_channels, stock_config):
         fd.brute_force(stock_channels, 0, stock_config, NONCOHERENT, grid_n=1)
 
 
+def _masked_lattice_oracle(channels, k, config, scenario, grid_n):
+    """The oracle written out per cap: full feasibility mask, box included."""
+    ps = np.linspace(0.0, config.p_s_max, grid_n)[:, None]
+    pr = np.linspace(0.0, config.p_r_max, grid_n)[None, :]
+    masked = np.where(solver._feasible(ps, pr, channels, k, config, scenario),
+                      solver._rate_fn(channels, k, config, scenario)(ps, pr), -1.0)
+    j = int(np.argmax(masked))
+    return fd.PowerAllocation(ps[j // grid_n, 0], pr[0, j % grid_n]), masked.flat[j]
+
+
+@pytest.mark.parametrize("grid_n", [2, 51])
+@pytest.mark.parametrize("scenario", [NONCOHERENT, COHERENT, HD_BASELINE])
+def test_oracle_sweep_matches_brute_force_at_each_cap(scenario, grid_n):
+    config = harness.load_config(CONFIG_DIR / "stock8.cfg")
+    channels = fd.sample_channels(config, seed=3)
+    caps = (10.0, 0.0, 1e-12, math.inf, 10.0)  # unsorted, with a repeat
+    for k in range(config.num_relays):
+        swept = solver._oracle_sweep(channels, k, config, scenario, caps, grid_n)
+        assert len(swept) == len(caps)
+        for cap, res in zip(caps, swept):
+            cfg = dataclasses.replace(config, i_bar_p=cap)
+            ref = fd.brute_force(channels, k, cfg, scenario, grid_n)
+            assert (res.relay, res.scenario) == (k, scenario)
+            assert (res.alloc, res.rate) == (ref.alloc, ref.rate)
+            assert (res.alloc, res.rate) == _masked_lattice_oracle(
+                channels, k, cfg, scenario, grid_n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p_s_max=_log10_uniform(-9, 12), p_r_max=_log10_uniform(-9, 12),
+       grid_n=st.integers(2, 1000))
+def test_oracle_lattice_lies_inside_the_box(p_s_max, p_r_max, grid_n):
+    # why _oracle_sweep masks the lattice by the cap alone
+    cfg = fd.NetworkConfig(num_relays=1, zeta=0.001, p_s_max=p_s_max,
+                           p_r_max=p_r_max, i_bar_p=math.inf)
+    channels = fd.sample_channels(cfg, seed=0)
+    ps = np.linspace(0.0, p_s_max, grid_n)[:, None]
+    pr = np.linspace(0.0, p_r_max, grid_n)[None, :]
+    assert solver._feasible(ps, pr, channels, 0, cfg, NONCOHERENT).all()
+
+
 def test_select_relay_tie_break(stock_channels, stock_config):
     a = fd.alternate_optimize(stock_channels, 0, stock_config, NONCOHERENT)
     twin = fd.RelayResult(relay=1, scenario=a.scenario, alloc=a.alloc, rate=a.rate,
@@ -375,10 +420,6 @@ def test_skipped_relays_keep_their_best_feasible_fallback():
                         assert r.rate >= fd.rate_exact(p, channels, k, cfg) * (1.0 - 1e-12)
             warm = res
     assert skipped > 0
-
-
-def _log10_uniform(lo, hi):
-    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
 
 
 @settings(max_examples=40, deadline=None)
