@@ -117,10 +117,8 @@ def _classify(h11: float, h22: float, det: float) -> Definiteness:
 
 
 def _coeffs(channels: ChannelRealization, k: int, config: NetworkConfig):
-    hsr2 = float(np.abs(channels.h_sr[k]) ** 2)
-    hrd2 = float(np.abs(channels.h_rd[k]) ** 2)
-    zh = _model.zeta_hat(channels, k, config)
-    return hsr2, hrd2, zh, config.sigma2_dest, config.sigma2_relay
+    return (float(channels.hsr2[k]), float(channels.hrd2[k]),
+            _model.zeta_hat(channels, k, config), config.sigma2_dest, config.sigma2_relay)
 
 
 def f_partials(ps: float, pr: float, channels: ChannelRealization, k: int,

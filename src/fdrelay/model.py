@@ -119,6 +119,16 @@ class ChannelRealization:
     Arrays are frozen (non-writeable) after construction.  ``seed`` is the
     RNG seed that produced the draw; regenerating with the same seed and the
     same config fields yields bit-identical coefficients.
+
+    The squared magnitudes every rate and interference formula reads are
+    computed once, at construction: ``hsr2``, ``hrd2``, ``hrp2``, ``hrr2``
+    (read-only K-arrays) and ``hsp2`` (a float).  They are derived attributes,
+    not dataclass fields, so they stay out of the constructor, ``repr``,
+    equality, ``dataclasses.replace`` and the channel digest.
+    Each element is computed as ``float(np.abs(h[k]) ** 2)``, one coefficient
+    at a time through numpy's scalar path, not by ``np.abs`` over the whole
+    array: the vectorized complex magnitude can differ from the scalar one in
+    the last bit, and every solver result depends on these values bit for bit.
     """
 
     seed: int
@@ -137,7 +147,11 @@ class ChannelRealization:
             arr = getattr(self, name)
             if arr.shape != (k,):
                 raise ValueError(f"{name} has shape {arr.shape}, expected ({k},)")
-        for name in ("h_sr", "h_rd", "h_rp", "h_rr", "var_rp"):
+        for name in ("h_sr", "h_rd", "h_rp", "h_rr"):
+            gains = np.array([float(np.abs(h) ** 2) for h in getattr(self, name)])
+            object.__setattr__(self, name.replace("_", "") + "2", gains)
+        object.__setattr__(self, "hsp2", float(np.abs(self.h_sp) ** 2))
+        for name in ("h_sr", "h_rd", "h_rp", "h_rr", "var_rp", "hsr2", "hrd2", "hrp2", "hrr2"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -192,7 +206,7 @@ def sample_channels(config: NetworkConfig, seed: int) -> ChannelRealization:
 
 def zeta_hat(channels: ChannelRealization, k: int, config: NetworkConfig) -> float:
     """Effective loop-leakage gain |h_rr[k]|^2 * zeta (>= 0)."""
-    return float(np.abs(channels.h_rr[k]) ** 2 * config.zeta)
+    return float(channels.hrr2[k] * config.zeta)
 
 
 def relay_gain(alloc: PowerAllocation, channels: ChannelRealization, k: int,
@@ -203,9 +217,8 @@ def relay_gain(alloc: PowerAllocation, channels: ChannelRealization, k: int,
     floor keeps it finite at the all-zero allocation.  Decreasing in both
     powers.
     """
-    hsr2 = float(np.abs(channels.h_sr[k]) ** 2)
-    hrr2 = float(np.abs(channels.h_rr[k]) ** 2)
-    return float(1.0 / np.sqrt(alloc.p_s * hsr2 + config.zeta * alloc.p_r * hrr2
+    return float(1.0 / np.sqrt(alloc.p_s * float(channels.hsr2[k])
+                               + config.zeta * alloc.p_r * float(channels.hrr2[k])
                                + config.sigma2_relay))
 
 
@@ -218,8 +231,7 @@ def rate_exact(alloc: PowerAllocation, channels: ChannelRealization, k: int,
     weak direct source->destination path is ignored by modeling assumption.
     Zero iff either power is zero.
     """
-    hsr2 = float(np.abs(channels.h_sr[k]) ** 2)
-    hrd2 = float(np.abs(channels.h_rd[k]) ** 2)
+    hsr2, hrd2 = float(channels.hsr2[k]), float(channels.hrd2[k])
     zh = zeta_hat(channels, k, config)
     return float(_rate_exact_vals(alloc.p_s, alloc.p_r, hsr2, hrd2, zh,
                                   config.sigma2_relay, config.sigma2_dest))
@@ -240,8 +252,7 @@ def rate_noncoh_obj(alloc: PowerAllocation, channels: ChannelRealization, k: int
     zh = zeta_hat(channels, k, config)
     if zh == 0.0:
         raise ZetaHatZero(f"relay {k}: zeta_hat == 0; use the zero-leakage path")
-    hsr2 = float(np.abs(channels.h_sr[k]) ** 2)
-    hrd2 = float(np.abs(channels.h_rd[k]) ** 2)
+    hsr2, hrd2 = float(channels.hsr2[k]), float(channels.hrd2[k])
     return float(_noncoh_obj_vals(alloc.p_s, alloc.p_r, hsr2, hrd2, zh,
                                   config.sigma2_dest))
 
@@ -253,8 +264,7 @@ def rate_noncoh_obj_zeta_zero(alloc: PowerAllocation, channels: ChannelRealizati
     x*y/(x + y) with x, y the two hop SNRs -- the exact fraction with its
     "+1" dropped.  Continuous extension 0 on the boundary.
     """
-    hsr2 = float(np.abs(channels.h_sr[k]) ** 2)
-    hrd2 = float(np.abs(channels.h_rd[k]) ** 2)
+    hsr2, hrd2 = float(channels.hsr2[k]), float(channels.hrd2[k])
     x = alloc.p_r * hrd2 / config.sigma2_dest
     y = alloc.p_s * hsr2 / config.sigma2_relay
     if x <= 0.0 or y <= 0.0:
@@ -285,8 +295,7 @@ def rate_hd(alloc: PowerAllocation, channels: ChannelRealization, k: int,
     0.5 * log2(1 + x*y/(1+x+y)) with the zeta_hat = 0 SINR; the 1/2 is the
     spectral-efficiency price of separate receive/transmit slots.
     """
-    hsr2 = float(np.abs(channels.h_sr[k]) ** 2)
-    hrd2 = float(np.abs(channels.h_rd[k]) ** 2)
+    hsr2, hrd2 = float(channels.hsr2[k]), float(channels.hrd2[k])
     return 0.5 * float(_rate_exact_vals(alloc.p_s, alloc.p_r, hsr2, hrd2, 0.0,
                                         config.sigma2_relay, config.sigma2_dest))
 
@@ -300,9 +309,8 @@ def interference_noncoh(alloc: PowerAllocation, channels: ChannelRealization,
     residual self-interference re-broadcast, zeta * p_r.  Linear in both
     powers.
     """
-    hsp2 = float(np.abs(channels.h_sp) ** 2)
-    hrp2 = float(np.abs(channels.h_rp[k]) ** 2)
-    return hsp2 * alloc.p_s + hrp2 * alloc.p_r * (1.0 + config.zeta)
+    return (channels.hsp2 * alloc.p_s
+            + float(channels.hrp2[k]) * alloc.p_r * (1.0 + config.zeta))
 
 
 # ----------------------------------------------------------------------------

@@ -172,26 +172,26 @@ def convexified_interference(p: tuple[float, float], channels: ChannelRealizatio
 # Broadcastable kernels (private): exact coherent interference over power grids.
 # ----------------------------------------------------------------------------
 
-def _amp_gap_vals(ps, pr, channels: ChannelRealization, k: int, config: NetworkConfig):
+def _amp_gap_vals(ps, pr, channels: ChannelRealization, k, config: NetworkConfig):
     """Signed amplitude gap |a| - |b| elementwise over broadcastable POWER
     arrays ps, pr.  The aligned interference is its square, so the feasible
-    set is where it lies in [-sqrt(i_bar_p), sqrt(i_bar_p)]."""
+    set is where it lies in [-sqrt(i_bar_p), sqrt(i_bar_p)].  ``k`` is a relay
+    index, or an integer array of them that broadcasts against ps and pr."""
     ps = np.asarray(ps, dtype=float)
     pr = np.asarray(pr, dtype=float)
-    hsr2 = float(np.abs(channels.h_sr[k]) ** 2)
-    hrr2 = float(np.abs(channels.h_rr[k]) ** 2)
-    hrp = complex(channels.h_rp[k])
+    hrp = channels.h_rp[k]
     sps = np.sqrt(ps)
     szr = np.sqrt(config.zeta * pr)
-    a = complex(channels.h_sp) * sps + hrp * szr
-    g = 1.0 / np.sqrt(ps * hsr2 + config.zeta * pr * hrr2 + config.sigma2_relay)
+    a = channels.h_sp * sps + hrp * szr
+    g = 1.0 / np.sqrt(ps * channels.hsr2[k] + config.zeta * pr * channels.hrr2[k]
+                      + config.sigma2_relay)
     noise = math.sqrt(config.sigma2_relay) * (1.0 + 1.0j) / math.sqrt(2.0)
-    d = complex(channels.h_sr[k]) * sps + complex(channels.h_rr[k]) * szr + noise
+    d = channels.h_sr[k] * sps + channels.h_rr[k] * szr + noise
     b = d * g * hrp * np.sqrt(pr)
     return np.abs(a) - np.abs(b)
 
 
-def _interference_coh_vals(ps, pr, channels: ChannelRealization, k: int,
+def _interference_coh_vals(ps, pr, channels: ChannelRealization, k,
                            config: NetworkConfig):
     """(|a| - |b|)^2 elementwise over broadcastable POWER arrays ps, pr."""
     return _amp_gap_vals(ps, pr, channels, k, config) ** 2

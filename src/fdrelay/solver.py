@@ -33,6 +33,13 @@ Every returned allocation satisfies the box and the scenario's EXACT
 interference constraint (within 1e-9 relative).  A coherent network solve
 skips relays that a certified rate bound rules out (``solve_network``).
 
+``solve_network`` does its per-relay work for all relays at once, as one
+broadcast over (relays x candidates) with a relay per row: the non-coherent
+and half-duplex closed forms and their pick among the candidate points, the
+coherent rate bounds, and the pick of the relays that bound skips.  Only the
+coherent envelope search runs relay by relay.  ``alternate_optimize`` runs the
+same broadcast on one relay, whose gains are numpy scalars.
+
 The lattice oracle (``brute_force``) evaluates the exact rate and the
 scenario's interference load on a grid_n x grid_n power lattice.  Neither
 depends on the cap, so ``_oracle_sweep`` builds both once and serves a whole
@@ -122,24 +129,27 @@ class SolveResult:
 # The envelope engine.
 # ----------------------------------------------------------------------------
 
-def _gains(channels: ChannelRealization, k: int):
-    """|h_sr|^2, |h_rd|^2, |h_sp|^2, |h_rp|^2 of relay k."""
-    return (float(np.abs(channels.h_sr[k]) ** 2), float(np.abs(channels.h_rd[k]) ** 2),
-            float(np.abs(channels.h_sp) ** 2), float(np.abs(channels.h_rp[k]) ** 2))
+def _gains(channels: ChannelRealization, k, config):
+    """|h_sr|^2, |h_rd|^2, |h_sp|^2, |h_rp|^2 and zeta_hat of relay k.  ``k`` is an
+    index, or an (n, 1) index array: the gains are then columns that broadcast
+    against (relays, candidates) arrays, one relay per row."""
+    return (channels.hsr2[k], channels.hrd2[k], channels.hsp2, channels.hrp2[k],
+            channels.hrr2[k] * config.zeta)
 
 
-def _cap_ratio(budget: float, gain: float) -> float:
-    """budget / gain, with a zero gain never binding."""
-    return budget / gain if gain > 0.0 else math.inf
+def _cap_ratio(budget, gain):
+    """budget / gain elementwise, with a zero gain never binding (inf)."""
+    if not isinstance(gain, np.ndarray):  # one relay's or the source's gain
+        return budget / gain if gain > 0.0 else math.inf
+    return np.divide(budget, gain, out=np.full(np.shape(gain), math.inf), where=gain > 0.0)
 
 
 def _rate_fn(channels, k, config, scenario):
     """The scenario's exact rate as a broadcastable function of (p_s, p_r)."""
-    hsr2, hrd2, _, _ = _gains(channels, k)
+    hsr2, hrd2, _, _, zh = _gains(channels, k, config)
     s2r, s2d = config.sigma2_relay, config.sigma2_dest
     if scenario == HD_BASELINE:
         return lambda ps, pr: model._hd_rate_vals(ps, pr, hsr2, hrd2, s2r, s2d)
-    zh = model.zeta_hat(channels, k, config)
     return lambda ps, pr: model._rate_exact_vals(ps, pr, hsr2, hrd2, zh, s2r, s2d)
 
 
@@ -150,7 +160,7 @@ def _slack_cap(i_bar_p: float) -> float:  # the cap with the solver's feasibilit
 def _load(ps, pr, channels, k, config, scenario):
     """The EXACT scenario constraint's left-hand side, elementwise; it does not
     depend on the cap (half duplex: the larger of the two slots' loads)."""
-    _, _, hsp2, hrp2 = _gains(channels, k)
+    _, _, hsp2, hrp2, _ = _gains(channels, k, config)
     if scenario == NONCOHERENT:
         return hsp2 * ps + hrp2 * (1.0 + config.zeta) * pr
     if scenario == COHERENT:
@@ -222,14 +232,15 @@ def _last_feasible(ok, a, b):
 def _source_cap(u, hsp2, hrp2, config):
     """sqrt(P_s), clipped to a bound on sqrt(p_s) of every coherent-feasible point at
     sqrt(p_r) = u (an array; ``_coherent_bound``); none if |h_sp| = 0 or Ibar = inf."""
-    slope = math.sqrt(hrp2) * (math.sqrt(config.zeta) + math.sqrt(3.0))
+    slope = np.sqrt(hrp2) * (math.sqrt(config.zeta) + math.sqrt(3.0))
     t = ((math.sqrt(_slack_cap(config.i_bar_p)) + slope * u)
          * _cap_ratio(1.0 + 1e-6, math.sqrt(hsp2)))
     return np.minimum(t, math.sqrt(config.p_s_max))
 
 
-def _coherent_bound(channels, k, config) -> float:
-    """Upper bound on relay k's coherent optimum and on any rate the solver reports.
+def _coherent_bound(channels, k, config):
+    """Upper bound on relay k's coherent optimum and on any rate the solver reports;
+    one bound per row for an (n, 1) index array k.
 
     With t = sqrt(p_s), u = sqrt(p_r), a feasible point has |a| - |b| <= sqrt(Ibar)
     (with the solver's slack), |b| <= sqrt(3) |h_rp| u (Cauchy-Schwarz on the relay's
@@ -241,79 +252,103 @@ def _coherent_bound(channels, k, config) -> float:
     c2 = zeta_hat/(|h_sr|^2 p_s), least at p_r = sqrt(c1/c2) (the cell top if
     zeta_hat = 0).  R(ps_ub, that p_r clipped to [u1^2, u2^2]) bounds the cell; the
     largest of the _BOUND_CELLS cells bounds relay k."""
-    hsr2, hrd2, hsp2, hrp2 = _gains(channels, k)
+    hsr2, hrd2, hsp2, hrp2, zh = _gains(channels, k, config)
     s2r, s2d = config.sigma2_relay, config.sigma2_dest
-    zh = model.zeta_hat(channels, k, config)
     u = np.linspace(0.0, math.sqrt(config.p_r_max), _BOUND_CELLS + 1)
     ps = _source_cap(u[1:], hsp2, hrp2, config) ** 2
     with np.errstate(divide="ignore", over="ignore"):  # inf where zh |h_rd|^2 = 0
         pr = np.clip(np.sqrt(s2d * (ps * hsr2 + s2r) / (hrd2 * zh)), u[:-1] ** 2, u[1:] ** 2)
-    return float(np.max(model._rate_exact_vals(ps, pr, hsr2, hrd2, zh, s2r, s2d)))
+    return np.max(model._rate_exact_vals(ps, pr, hsr2, hrd2, zh, s2r, s2d), axis=-1)
 
 
 def _noncoherent_points(channels, k, config):
-    """The exact minimizer of phi = 1/x + 1/y + 1/(xy) on each non-coherent envelope
-    piece (module docstring); a zero |h_sr| or |h_rd| rates every point 0."""
-    hsr2, hrd2, hsp2, hrp2 = _gains(channels, k)
+    """The exact minimizers of phi = 1/x + 1/y + 1/(xy) on the flat, then on the
+    sloped non-coherent envelope piece (module docstring) of relay k (``_gains``),
+    as [(p_s, p_r), (p_s, p_r)]; where the cap leaves no slope, the slope's point
+    is the flat one's.  Needs Ibar > 0.  A zero |h_sr| or |h_rd| rates every point 0."""
+    hsr2, hrd2, hsp2, hrp2, zh = _gains(channels, k, config)
+    # Python's min, max and conditional take one relay's numpy-scalar gains several
+    # times faster than ufuncs do, with the same result (a NaN only ever comes first)
+    lo, hi, where = ((np.minimum, np.maximum, np.where) if isinstance(k, np.ndarray)
+                     else (min, max, lambda m, a, b: a if m else b))
     ibar, s2r, s2d = config.i_bar_p, config.sigma2_relay, config.sigma2_dest
-    zh, c = model.zeta_hat(channels, k, config), hrp2 * (1.0 + config.zeta)
-    pr_hi = min(config.p_r_max, _cap_ratio(ibar, c))
-    ps_flat = min(config.p_s_max, _cap_ratio(ibar, hsp2))
+    c = hrp2 * (1.0 + config.zeta)
+    pr_hi = lo(config.p_r_max, _cap_ratio(ibar, c))
+    ps_flat = lo(config.p_s_max, _cap_ratio(ibar, hsp2))
     # where ps_top leaves ps_flat; 0 when the cap already binds at p_r = 0
-    kink = max(0.0, min(pr_hi, _cap_ratio(ibar - hsp2 * ps_flat, c)))
-    flat = math.sqrt(_cap_ratio(s2d * (ps_flat * hsr2 + s2r), hrd2 * zh))  # inf when zh = 0
-    points = [(ps_flat, min(flat, kink))]
-    if kink < pr_hi:  # never for |h_sp| = 0 or Ibar = inf
+    kink = lo(pr_hi, _cap_ratio(max(ibar - hsp2 * ps_flat, 0.0), c))
+    flat = np.sqrt(_cap_ratio(s2d * (ps_flat * hsr2 + s2r), hrd2 * zh))  # inf if zh = 0
+    with np.errstate(all="ignore"):  # discarded wherever there is no slope
         # |h_sr|^2 |h_rd|^2 phi' = q/(ibar - c p_r)^2 - p/p_r^2 on the slope
         p = s2d * (hsr2 + hsp2 * s2r / ibar)
         q = hsp2 * (hrd2 * (zh * ibar + c * s2r) + s2d * c * (zh + c * s2r / ibar))
-        pr = min(max(ibar / (c + math.sqrt(q / p)), kink), pr_hi)
-        points.append((min(max((ibar - c * pr) / hsp2, 0.0), ps_flat), pr))
-    return points
+        pr = lo(hi(ibar / (c + np.sqrt(q / p)), kink), pr_hi)
+        ps = lo(hi((ibar - c * pr) / hsp2, 0.0), ps_flat)
+    slope = kink < pr_hi  # never for |h_sp| = 0 or Ibar = inf
+    flat = (ps_flat, lo(flat, kink))
+    return [flat, (where(slope, ps, flat[0]), where(slope, pr, flat[1]))]
 
 
-def _pick(channels, k, config, scenario, rate, cands, warm):
-    """(p_s, p_r, rate) of the best feasible (p_s, p_r) candidate or warm allocation."""
-    best, best_v = (0.0, 0.0), 0.0
-    for p in cands + [(w.p_s, w.p_r) for w in warm]:
-        if _feasible(p[0], p[1], channels, k, config, scenario) and rate(*p) > best_v:
-            best, best_v = p, float(rate(*p))
-    return (*best, best_v)
+def _pick(channels, k, config, scenario, points):
+    """(p_s, p_r, rate) arrays, one per relay of k (``_gains``), of the best feasible
+    (p_s, p_r) of ``points`` (scalars or (n, 1) columns): starting from (0, 0) at
+    rate 0, the first point whose rate is strictly higher.  One broadcast over
+    (relays x candidates)."""
+    n = len(k) if isinstance(k, np.ndarray) else 1
+    ps, pr = np.zeros((2, n, 1 + len(points)))
+    for j, (a, b) in enumerate(points, 1):  # column 0 holds (0, 0)
+        ps[:, j:j + 1], pr[:, j:j + 1] = a, b
+    rate = _rate_fn(channels, k, config, scenario)(ps, pr)
+    rate = np.where(_feasible(ps, pr, channels, k, config, scenario) & (rate > 0.0),
+                    rate, 0.0)
+    i, j = np.arange(n), rate.argmax(axis=1)
+    return ps[i, j], pr[i, j], rate[i, j]
 
 
-def _best_point(channels, k, config, scenario, warm):
-    """(p_s, p_r, rate) of the best feasible point found for relay k."""
-    _, _, hsp2, hrp2 = _gains(channels, k)
+def _closed_form(channels, k, config, scenario, warm):
+    """``_pick`` of relay k's (``_gains``) non-coherent or half-duplex closed-form
+    optimum against the ``warm`` points; (0, 0) in any scenario at a zero cap."""
+    if config.i_bar_p <= 0.0:  # a zero cap admits only the all-zero allocation
+        return _pick(channels, k, config, scenario, [])
+    if scenario == NONCOHERENT:
+        points = _noncoherent_points(channels, k, config)
+    else:  # half duplex: the decoupled corner
+        _, _, hsp2, hrp2, _ = _gains(channels, k, config)
+        points = [(min(config.p_s_max, _cap_ratio(config.i_bar_p, hsp2)),
+                   np.minimum(config.p_r_max, _cap_ratio(config.i_bar_p, hrp2)))]
+    return _pick(channels, k, config, scenario, points + warm)
+
+
+def _best_point(channels, k, config, warm):
+    """(p_s, p_r, rate) of the best coherent-feasible point found for relay k, the
+    (p_s, p_r) ``warm`` points included."""
+    _, _, hsp2, hrp2, _ = _gains(channels, k, config)
     ibar, ps_max, pr_max = config.i_bar_p, config.p_s_max, config.p_r_max
-    rate = _rate_fn(channels, k, config, scenario)
-    if scenario == HD_BASELINE:
-        cands = [(min(ps_max, _cap_ratio(ibar, hsp2)), min(pr_max, _cap_ratio(ibar, hrp2)))]
-    elif scenario == NONCOHERENT:
-        cands = _noncoherent_points(channels, k, config)
-    else:
-        def gap(ps, pr):
-            return phase._amp_gap_vals(ps, pr, channels, k, config)
 
-        def top(pr):  # sqrt-spaced p_s scan of every column, then finer scans
-            lo, hi = np.zeros_like(pr), _source_cap(np.sqrt(pr), hsp2, hrp2, config)
-            for points in _COLUMN_SCANS:
-                lo, hi, f_lo, f_hi = _shrink(gap, pr, lo, hi, root, points)
-            with np.errstate(invalid="ignore"):  # Ibar = inf: f = -inf and lo == hi
-                est = np.where(hi > lo, lo + (hi - lo) * f_lo / (f_lo - f_hi), lo)
-            return np.where(f_lo <= 0.0, est * est, -1.0), lo * lo, hi * hi
+    def gap(ps, pr):
+        return phase._amp_gap_vals(ps, pr, channels, k, config)
 
-        root = math.sqrt(ibar)
-        _, pr, ps_lo, ps_hi, pr_next = _envelope(top, rate, pr_max)
-        ps, lo, hi = ps_lo, np.sqrt([ps_lo]), np.sqrt([ps_hi])
-        for _ in range(_SHRINK_ROUNDS if ps_lo < ps_hi else 0):
-            lo, hi, f_lo, _ = _shrink(gap, np.array([pr]), lo, hi, root, _SHRINK_GRID)
-            if f_lo[0] >= -2.0 * root:  # lo is above the lower level too
-                ps = float(lo[0] * lo[0])
-        cands = [(ps, pr)] + _noncoherent_points(channels, k, config)
-        if ps_lo == ps_hi:  # the column tops out at P_s: where does that edge end?
-            cands.append((ps_max, _last_feasible(
-                lambda x: _feasible(ps_max, x, channels, k, config, COHERENT), pr, pr_next)))
-    return _pick(channels, k, config, scenario, rate, cands, warm)
+    def top(pr):  # sqrt-spaced p_s scan of every column, then finer scans
+        lo, hi = np.zeros_like(pr), _source_cap(np.sqrt(pr), hsp2, hrp2, config)
+        for points in _COLUMN_SCANS:
+            lo, hi, f_lo, f_hi = _shrink(gap, pr, lo, hi, root, points)
+        with np.errstate(invalid="ignore"):  # Ibar = inf: f = -inf and lo == hi
+            est = np.where(hi > lo, lo + (hi - lo) * f_lo / (f_lo - f_hi), lo)
+        return np.where(f_lo <= 0.0, est * est, -1.0), lo * lo, hi * hi
+
+    root = math.sqrt(ibar)
+    _, pr, ps_lo, ps_hi, pr_next = _envelope(
+        top, _rate_fn(channels, k, config, COHERENT), pr_max)
+    ps, lo, hi = ps_lo, np.sqrt([ps_lo]), np.sqrt([ps_hi])
+    for _ in range(_SHRINK_ROUNDS if ps_lo < ps_hi else 0):
+        lo, hi, f_lo, _ = _shrink(gap, np.array([pr]), lo, hi, root, _SHRINK_GRID)
+        if f_lo[0] >= -2.0 * root:  # lo is above the lower level too
+            ps = float(lo[0] * lo[0])
+    points = [(ps, pr), *_noncoherent_points(channels, k, config)]
+    if ps_lo == ps_hi:  # the column tops out at P_s: where does that edge end?
+        points.append((ps_max, _last_feasible(
+            lambda x: _feasible(ps_max, x, channels, k, config, COHERENT), pr, pr_next)))
+    return tuple(v[0] for v in _pick(channels, k, config, COHERENT, points + warm))
 
 
 def _relay_result(k, scenario, point, iterations) -> RelayResult:
@@ -331,13 +366,15 @@ def alternate_optimize(channels: ChannelRealization, k: int, config: NetworkConf
     """Envelope solve for one relay, any scenario and any leakage (zeta_hat
     == 0 included).  The returned allocation is exactly feasible.
     ``warm_start`` may be a PowerAllocation or a sequence of them; feasible
-    warm points lower-bound the result."""
+    warm points lower-bound the result.  The non-coherent and half-duplex
+    solves are ``solve_network``'s batched closed form on relay k alone."""
     scenario = _norm_scenario(scenario)
     warm = [warm_start] if isinstance(warm_start, PowerAllocation) else list(warm_start or ())
-    search = config.i_bar_p > 0.0  # a zero cap admits only the all-zero allocation
-    point = _best_point(channels, k, config, scenario, warm) if search else (0, 0, 0)
-    return _relay_result(k, scenario, point,
-                         _ZOOM_ROUNDS if search and scenario == COHERENT else 0)
+    warm = [(w.p_s, w.p_r) for w in warm]
+    if scenario == COHERENT and config.i_bar_p > 0.0:
+        return _relay_result(k, scenario, _best_point(channels, k, config, warm), _ZOOM_ROUNDS)
+    point = _closed_form(channels, k, config, scenario, warm)  # zero cap: (0, 0)
+    return _relay_result(k, scenario, [v[0] for v in point], 0)
 
 
 def _oracle_sweep(channels, k, config, scenario, caps, grid_n):
@@ -377,40 +414,57 @@ def select_relay(results) -> SolveResult:
     if not results:
         raise ValueError("select_relay needs at least one per-relay result")
     return SolveResult(scenario=results[0].scenario, relays=tuple(results),
-                       selected=int(np.argmax([r.rate for r in results])))
+                       selected=int(np.array([r.rate for r in results]).argmax()))
 
 
 def solve_network(channels: ChannelRealization, config: NetworkConfig,
                   scenario: str, warm: SolveResult | None = None) -> SolveResult:
     """Solve the relays and select.
 
-    ``warm`` (one SolveResult or a sequence of them) recycles previous
-    per-relay allocations as lower bounds: each result is at least as good as
-    its best feasible warm point, which makes interference cap sweeps
-    monotone.
+    ``warm`` (one SolveResult or a sequence of them, each with one result per
+    relay of ``channels``) recycles previous per-relay allocations as lower
+    bounds: each result is at least as good as its best feasible warm point,
+    which makes interference cap sweeps monotone.
 
-    A coherent solve over several relays takes them in descending order of
-    ``_coherent_bound`` and skips a relay whose bound is below a rate already
-    solved: it cannot win, so the selection and its rate, tie-break included,
-    are those of solving every relay.  A skipped relay's RelayResult
-    (iterations=0) is its best feasible non-coherent closed-form or warm
-    point, a lower bound on its optimum, not the optimum.
+    The non-coherent and half-duplex closed forms are evaluated for all relays
+    at once, in one broadcast over (relays x candidates).  A coherent solve over
+    several relays bounds them all in one broadcast (``_coherent_bound``), takes
+    them in descending bound order, and skips a relay whose bound is below a rate
+    already solved: it cannot win, so the selection and its rate, tie-break
+    included, are those of solving every relay.  A skipped relay's RelayResult
+    (iterations=0) is its best feasible non-coherent closed-form or warm point, a
+    lower bound on its optimum, not the optimum; the skipped relays are picked in
+    one broadcast after the solved ones.
     """
     scenario = _norm_scenario(scenario)
     warms = [warm] if isinstance(warm, SolveResult) else list(warm or [])
     warms = [w for w in warms if w is not None]
-    relays = range(channels.num_relays)
-    bounds = ([_coherent_bound(channels, k, config) for k in relays]
-              if scenario == COHERENT and len(relays) > 1 else [math.inf] * len(relays))
-    results, best = [None] * len(relays), -math.inf
-    for k in sorted(relays, key=bounds.__getitem__, reverse=True):  # ties keep index order
-        warm_k = [w.relays[k].alloc for w in warms]
-        if bounds[k] * (1.0 + 1e-9) < best:
-            point = _pick(channels, k, config, scenario,
-                          _rate_fn(channels, k, config, scenario),
-                          _noncoherent_points(channels, k, config), warm_k)
-            results[k] = _relay_result(k, scenario, point, 0)
+    n = channels.num_relays
+    for w in warms:
+        if len(w.relays) != n:
+            raise ValueError(f"warm result has {len(w.relays)} relays, the channels have {n}")
+    # relays down a column (a lone relay's numpy-scalar gains are several times
+    # faster than 1-arrays), and each warm result as one (p_s, p_r) point of columns
+    k = np.arange(n)[:, None] if n > 1 else 0
+    warm_points = [(np.array([[r.alloc.p_s] for r in w.relays]),
+                    np.array([[r.alloc.p_r] for r in w.relays])) for w in warms]
+    if scenario != COHERENT:
+        points = _closed_form(channels, k, config, scenario, warm_points)
+        return select_relay([_relay_result(i, scenario, p, 0)
+                             for i, p in enumerate(zip(*(v.tolist() for v in points)))])
+    bounds = _coherent_bound(channels, k, config).tolist() if n > 1 else [math.inf]
+    results, best, skipped = [None] * n, -math.inf, []
+    for i in sorted(range(n), key=bounds.__getitem__, reverse=True):  # ties keep index order
+        if bounds[i] * (1.0 + 1e-9) < best:
+            skipped.append(i)
         else:
-            results[k] = alternate_optimize(channels, k, config, scenario, warm_start=warm_k)
-            best = max(best, results[k].rate)
+            results[i] = alternate_optimize(channels, i, config, scenario,
+                                            warm_start=[w.relays[i].alloc for w in warms])
+            best = max(best, results[i].rate)
+    if skipped:
+        points = _pick(channels, k[skipped], config, COHERENT,
+                       _noncoherent_points(channels, k[skipped], config)
+                       + [(ps[skipped], pr[skipped]) for ps, pr in warm_points])
+        for i, p in zip(skipped, zip(*(v.tolist() for v in points))):
+            results[i] = _relay_result(i, scenario, p, 0)
     return select_relay(results)

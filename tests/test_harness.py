@@ -164,6 +164,28 @@ def test_optimality_gap_csv_is_pinned(tmp_path):
         "0da7e3ff0ca7b7bf149da65c7c1dabf208746f6e0f17b3a735a50e0ad31b7efd")
 
 
+@pytest.mark.parametrize("cfg_name,digest", [
+    pytest.param("stock8.cfg",
+                 "78f5ab620adc4f6600614eb6d926f95312ef342000e07524f825afce9eb9c411",
+                 id="stock8"),
+    pytest.param("strong-leakage.cfg",
+                 "ce3e81f6fd3642093a592b830c3d7054a728fc0f258ce810d900544c568b25d6",
+                 id="strong-leakage"),
+])
+def test_rate_vs_ibar_csv_is_pinned(cfg_name, digest, tmp_path):
+    # multi-relay network solves, warm-chained over the caps (zero and no cap
+    # included), with coherent relay skipping, must reproduce these bytes exactly
+    spec = ExperimentSpec(name="rate-vs-ibar",
+                          scenarios=(fd.NONCOHERENT, fd.COHERENT, fd.HD_BASELINE),
+                          zeta_list=(0.0, 0.001, 0.4),
+                          i_bar_p_db_list=(-math.inf, -10.0, 0.0, 5.0, 10.0, 30.0, math.inf),
+                          p_max_db_list=(20.0,), num_realizations=2, base_seed=7)
+    rows = run_experiment(spec, load_config(CONFIG_DIR / cfg_name))
+    emit_csv(rows, tmp_path / "ibar.csv")
+    assert len(rows) == 126
+    assert hashlib.sha256((tmp_path / "ibar.csv").read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("name", ["rate-vs-pr", "rate-vs-ps"])
 def test_fixed_power_sweeps(name):
     cfg = small_config()

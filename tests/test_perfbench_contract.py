@@ -4,9 +4,12 @@ The benchmark times every ``solver.solve_network`` call that the harness
 makes, by replacing that module attribute, and its tracer wraps
 ``solver.alternate_optimize`` the same way.  If the harness or the network
 solve stopped calling through those attributes, the benchmark would see no
-calls and print no result.  Its structural workload checks the names, number
-and coverage of ``harness.lemma_suite``'s checks.  These tests run the
-benchmark's own code on small passes; they change nothing under ``perfbench/``.
+calls and print no result.  A coherent network solve runs each relay it does
+not skip through ``solver.alternate_optimize``; a non-coherent or half-duplex
+one solves all its relays in one batched closed form and calls it not at all.
+Its structural workload checks the names, number and coverage of
+``harness.lemma_suite``'s checks.  These tests run the benchmark's own code on
+small passes; they change nothing under ``perfbench/``.
 """
 
 from pathlib import Path
@@ -80,14 +83,16 @@ def test_structural_suite_pass_is_checked(workloads, tmp_path):
 
 def test_tracer_sees_every_relay_solve(workloads):
     config = harness.load_config(ROOT / "configs" / "single-relay.cfg")
-    spec = harness.ExperimentSpec(name="rate-vs-ibar", scenarios=(solver.NONCOHERENT,),
-                                  num_realizations=1, base_seed=3)
-    tracer = workloads.Tracer()
-    with tracer:
-        workloads.install_trace(tracer)
-        rows = harness.run_experiment(spec, config)
-    assert len(rows) == 6
-    assert tracer.counts["solver.alternate_optimize.calls"] == len(rows)
-    network = sum(v["calls"] for name, v in tracer.aggregate().items()
-                  if name.startswith("solver.solve_network"))
-    assert network == len(rows)
+    for scenario, relay_solves_per_row in ((solver.COHERENT, 1), (solver.NONCOHERENT, 0)):
+        spec = harness.ExperimentSpec(name="rate-vs-ibar", scenarios=(scenario,),
+                                      num_realizations=1, base_seed=3)
+        tracer = workloads.Tracer()
+        with tracer:
+            workloads.install_trace(tracer)
+            rows = harness.run_experiment(spec, config)
+        assert len(rows) == 6
+        assert (tracer.counts["solver.alternate_optimize.calls"]
+                == relay_solves_per_row * len(rows))
+        network = sum(v["calls"] for name, v in tracer.aggregate().items()
+                      if name.startswith("solver.solve_network"))
+        assert network == len(rows)

@@ -286,6 +286,19 @@ def test_solve_network_warm_forms(stock_channels, stock_config):
             assert r.rate >= c.rate - 1e-9
 
 
+def test_solve_network_rejects_a_warm_result_with_another_relay_count():
+    cfg8 = harness.load_config(CONFIG_DIR / "stock8.cfg")
+    cfg4 = dataclasses.replace(cfg8, num_relays=4)
+    ch8, ch4 = fd.sample_channels(cfg8, seed=2), fd.sample_channels(cfg4, seed=2)
+    warm8 = fd.solve_network(ch8, cfg8, NONCOHERENT)
+    warm4 = fd.solve_network(ch4, cfg4, NONCOHERENT)
+    for scenario in (NONCOHERENT, COHERENT, HD_BASELINE):
+        with pytest.raises(ValueError, match="4 relays.* 8"):  # fewer relays
+            fd.solve_network(ch8, cfg8, scenario, warm=warm4)
+        with pytest.raises(ValueError, match="8 relays.* 4"):  # more relays
+            fd.solve_network(ch4, cfg4, scenario, warm=[warm4, warm8])
+
+
 def test_coherent_dominates_noncoherent(stock_config):
     # the coherent solve compares in the non-coherent optimum, so it can do no
     # worse wherever that allocation is coherent-feasible (it is on these draws)
@@ -359,6 +372,18 @@ def test_coherent_columns_ranked_by_chord_root():
     res = fd.alternate_optimize(channels, 3, cfg, COHERENT)
     assert res.rate >= 0.122061
     assert fd.interference_coh(res.alloc, channels, 3, cfg) <= cap_slack(cfg)
+
+
+def test_stock8_seed2_relay1_coherent_optimum():
+    # one of ROADMAP item 4's coherent targets: 3.018516 bit/s/Hz at
+    # (p_s, p_r) = (54.5226, 100.0), exactly feasible
+    cfg = dataclasses.replace(harness.load_config(CONFIG_DIR / "stock8.cfg"),
+                              i_bar_p=fd.db_to_linear(10.0))
+    channels = fd.sample_channels(cfg, seed=2)
+    res = fd.alternate_optimize(channels, 1, cfg, COHERENT)
+    assert res.rate >= 3.018516
+    assert fd.interference_coh(res.alloc, channels, 1, cfg) <= cfg.i_bar_p
+    assert res.rate == pytest.approx(fd.rate_exact(res.alloc, channels, 1, cfg), rel=1e-12)
 
 
 @pytest.mark.parametrize("p_s_max,p_r_max,i_bar_p,zeta,seed,dense", [
@@ -441,3 +466,45 @@ def test_envelope_invariants_over_extreme_ranges(p_s_max, p_r_max, i_bar_p, zeta
     wider = dataclasses.replace(cfg, i_bar_p=10.0 * i_bar_p)
     grown = fd.alternate_optimize(channels, 0, wider, scenario, warm_start=res.alloc)
     assert grown.rate >= res.rate - 1e-12 * max(1.0, res.rate)
+
+
+@st.composite
+def _networks(draw):
+    """Up to 4 relays over the extreme ranges; each relay may have a zero
+    |h_sr|, |h_rd| or |h_rp|, and |h_sp| may be zero."""
+    cfg = fd.NetworkConfig(num_relays=draw(st.integers(1, 4)),
+                           zeta=draw(st.one_of(st.just(0.0), _log10_uniform(-6, 6))),
+                           p_s_max=draw(_log10_uniform(-9, 9)),
+                           p_r_max=draw(_log10_uniform(-9, 9)),
+                           i_bar_p=draw(st.one_of(st.just(math.inf), _log10_uniform(-12, 9))))
+    channels = fd.sample_channels(cfg, seed=draw(st.integers(0, 10_000)))
+    coeffs = {name: getattr(channels, name).copy() for name in ("h_sr", "h_rd", "h_rp")}
+    for k in range(cfg.num_relays):
+        name = draw(st.sampled_from([None, "h_sr", "h_rd", "h_rp"]))
+        if name:
+            coeffs[name][k] = 0.0
+    h_sp = 0j if draw(st.booleans()) and draw(st.booleans()) else channels.h_sp
+    return dataclasses.replace(channels, h_sp=h_sp, **coeffs), cfg
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, deadline=None)
+@given(network=_networks())
+def test_batched_network_solve_equals_each_relay_alone(network):
+    channels, cfg = network
+
+    def bits(r):
+        return tuple(float(v).hex() for v in (r.alloc.p_s, r.alloc.p_r, r.rate))
+
+    lower = dataclasses.replace(cfg, i_bar_p=cfg.i_bar_p / 10.0)
+    for scenario in (NONCOHERENT, HD_BASELINE):
+        warm = fd.solve_network(channels, lower, scenario)
+        res = fd.solve_network(channels, cfg, scenario, warm=warm)
+        for k, r in enumerate(res.relays):
+            alone = fd.alternate_optimize(channels, k, cfg, scenario,
+                                          warm_start=warm.relays[k].alloc)
+            assert (r.relay, r.iterations, bits(r)) == (k, 0, bits(alone))
+            assert interference(scenario, r.alloc, channels, k, cfg) <= cap_slack(cfg)
+    res = fd.solve_network(channels, cfg, COHERENT)
+    for k, r in enumerate(res.relays):  # skipped relays (iterations == 0) included
+        assert fd.interference_coh(r.alloc, channels, k, cfg) <= cap_slack(cfg)
