@@ -80,7 +80,6 @@ class NetworkConfig:
     i_bar_p: float
     sigma2_relay: float = 1.0
     sigma2_dest: float = 1.0
-    sigma2_pu: float = 1.0  # stored for completeness; the interference cap is on power, not SINR
     var_sr: float = 1.0
     var_rd: float = 1.0
     var_sd: float = 0.1
@@ -96,7 +95,7 @@ class NetworkConfig:
             raise ConfigError(f"num_relays must be a positive integer, got {self.num_relays!r}")
         if not (self.zeta >= 0.0 and math.isfinite(self.zeta)):
             raise ConfigError(f"zeta must be finite and >= 0, got {self.zeta!r}")
-        for name in ("p_s_max", "p_r_max", "sigma2_relay", "sigma2_dest", "sigma2_pu",
+        for name in ("p_s_max", "p_r_max", "sigma2_relay", "sigma2_dest",
                      "var_sr", "var_rd", "var_sd", "var_rr", "sampling_freq"):
             val = getattr(self, name)
             if not (val > 0.0 and math.isfinite(val)):
@@ -147,6 +146,9 @@ class ChannelRealization:
             arr = getattr(self, name)
             if arr.shape != (k,):
                 raise ValueError(f"{name} has shape {arr.shape}, expected ({k},)")
+        for name in ("h_sp", "h_sd", "h_sr", "h_rd", "h_rp", "h_rr"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} has a NaN or infinite coefficient")
         for name in ("h_sr", "h_rd", "h_rp", "h_rr"):
             gains = np.array([float(np.abs(h) ** 2) for h in getattr(self, name)])
             object.__setattr__(self, name.replace("_", "") + "2", gains)

@@ -175,29 +175,6 @@ def _feasible(ps, pr, channels, k, config, scenario):
             & (0.0 <= pr) & (pr <= config.p_r_max * (1 + 1e-12)))
 
 
-def _envelope(top, rate, pr_hi):
-    """Maximize rate(ps_top(p_r), p_r) over p_r in [0, pr_hi] (coherent).
-
-    ``top`` maps a p_r array to (ps_est, ps_lo, ps_hi) arrays: ps_est
-    estimates ps_top and ranks the columns (negative where the column has no
-    feasible point), ps_lo is at most ps_top and ps_hi bounds it from above
-    (equal to ps_lo where ps_lo is exact).  Returns
-    (value, p_r, ps_lo, ps_hi, next p_r on its grid) of the best column.
-    """
-    u = np.linspace(0.0, math.sqrt(pr_hi), _PR_GRID)
-    best = (-1.0, 0.0, -1.0, -1.0, 0.0)
-    for _ in range(_ZOOM_ROUNDS + 1):
-        pr = u * u
-        ps_est, ps_lo, ps_hi = top(pr)
-        vals = np.where(ps_est >= 0.0, rate(np.maximum(ps_est, 0.0), pr), -1.0)
-        j = int(np.argmax(vals))
-        if vals[j] > best[0]:
-            best = (float(vals[j]), float(pr[j]), float(ps_lo[j]), float(ps_hi[j]),
-                    float(pr[min(j + 1, len(pr) - 1)]))
-        u = np.linspace(u[max(j - 1, 0)], u[min(j + 1, len(u) - 1)], _ZOOM_GRID)
-    return best
-
-
 def _shrink(gap, pr, lo, hi, root, points):
     """One scan of each column's bracket [lo, hi] of sqrt source powers.
 
@@ -321,24 +298,34 @@ def _closed_form(channels, k, config, scenario, warm):
 
 def _best_point(channels, k, config, warm):
     """(p_s, p_r, rate) of the best coherent-feasible point found for relay k, the
-    (p_s, p_r) ``warm`` points included."""
+    (p_s, p_r) ``warm`` points included.  The whole coherent search (module
+    docstring) is here: the p_r grid and its zoom rounds, each column's bracket
+    of sqrt(ps_top) ranked by its chord root, the winning column's shrink and
+    top-edge kink, and the final ``_pick`` against the non-coherent optimum."""
     _, _, hsp2, hrp2, _ = _gains(channels, k, config)
-    ibar, ps_max, pr_max = config.i_bar_p, config.p_s_max, config.p_r_max
+    root, ps_max = math.sqrt(config.i_bar_p), config.p_s_max
+    rate = _rate_fn(channels, k, config, COHERENT)
 
     def gap(ps, pr):
         return phase._amp_gap_vals(ps, pr, channels, k, config)
 
-    def top(pr):  # sqrt-spaced p_s scan of every column, then finer scans
-        lo, hi = np.zeros_like(pr), _source_cap(np.sqrt(pr), hsp2, hrp2, config)
+    u = np.linspace(0.0, math.sqrt(config.p_r_max), _PR_GRID)
+    best, (pr, ps_lo, ps_hi, pr_next) = -1.0, (0.0, -1.0, -1.0, 0.0)
+    for _ in range(_ZOOM_ROUNDS + 1):
+        cols = u * u
+        lo, hi = np.zeros_like(cols), _source_cap(np.sqrt(cols), hsp2, hrp2, config)
         for points in _COLUMN_SCANS:
-            lo, hi, f_lo, f_hi = _shrink(gap, pr, lo, hi, root, points)
+            lo, hi, f_lo, f_hi = _shrink(gap, cols, lo, hi, root, points)
         with np.errstate(invalid="ignore"):  # Ibar = inf: f = -inf and lo == hi
             est = np.where(hi > lo, lo + (hi - lo) * f_lo / (f_lo - f_hi), lo)
-        return np.where(f_lo <= 0.0, est * est, -1.0), lo * lo, hi * hi
-
-    root = math.sqrt(ibar)
-    _, pr, ps_lo, ps_hi, pr_next = _envelope(
-        top, _rate_fn(channels, k, config, COHERENT), pr_max)
+        ps_est = np.where(f_lo <= 0.0, est * est, -1.0)
+        vals = np.where(ps_est >= 0.0, rate(np.maximum(ps_est, 0.0), cols), -1.0)
+        j = int(np.argmax(vals))
+        nxt = min(j + 1, len(cols) - 1)
+        if vals[j] > best:  # keep the column's p_s bracket and the next p_r on its grid
+            best, pr, pr_next = float(vals[j]), float(cols[j]), float(cols[nxt])
+            ps_lo, ps_hi = float(lo[j] * lo[j]), float(hi[j] * hi[j])
+        u = np.linspace(u[max(j - 1, 0)], u[nxt], _ZOOM_GRID)
     ps, lo, hi = ps_lo, np.sqrt([ps_lo]), np.sqrt([ps_hi])
     for _ in range(_SHRINK_ROUNDS if ps_lo < ps_hi else 0):
         lo, hi, f_lo, _ = _shrink(gap, np.array([pr]), lo, hi, root, _SHRINK_GRID)
@@ -361,16 +348,21 @@ def _relay_result(k, scenario, point, iterations) -> RelayResult:
 # Public solver ops.
 # ----------------------------------------------------------------------------
 
+def _check_relay(channels, k):
+    if not 0 <= k < channels.num_relays:
+        raise ValueError(f"relay index {k} is out of range for {channels.num_relays} relays")
+
+
 def alternate_optimize(channels: ChannelRealization, k: int, config: NetworkConfig,
-                       scenario: str, warm_start=None) -> RelayResult:
-    """Envelope solve for one relay, any scenario and any leakage (zeta_hat
-    == 0 included).  The returned allocation is exactly feasible.
-    ``warm_start`` may be a PowerAllocation or a sequence of them; feasible
-    warm points lower-bound the result.  The non-coherent and half-duplex
-    solves are ``solve_network``'s batched closed form on relay k alone."""
+                       scenario: str, warm_start: PowerAllocation | None = None) -> RelayResult:
+    """Envelope solve for relay k, any scenario and any leakage (zeta_hat
+    == 0 included).  The returned allocation is exactly feasible.  A feasible
+    ``warm_start`` lower-bounds the result.  The non-coherent and half-duplex
+    solves are ``solve_network``'s batched closed form on relay k alone.
+    Raises ValueError unless 0 <= k < channels.num_relays."""
     scenario = _norm_scenario(scenario)
-    warm = [warm_start] if isinstance(warm_start, PowerAllocation) else list(warm_start or ())
-    warm = [(w.p_s, w.p_r) for w in warm]
+    _check_relay(channels, k)
+    warm = [] if warm_start is None else [(warm_start.p_s, warm_start.p_r)]
     if scenario == COHERENT and config.i_bar_p > 0.0:
         return _relay_result(k, scenario, _best_point(channels, k, config, warm), _ZOOM_ROUNDS)
     point = _closed_form(channels, k, config, scenario, warm)  # zero cap: (0, 0)
@@ -384,6 +376,7 @@ def _oracle_sweep(channels, k, config, scenario, caps, grid_n):
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     scenario = _norm_scenario(scenario)
+    _check_relay(channels, k)
     ps = np.linspace(0.0, config.p_s_max, grid_n)
     pr = np.linspace(0.0, config.p_r_max, grid_n)
     grid_ps, grid_pr = ps[:, None], pr[None, :]
@@ -421,10 +414,11 @@ def solve_network(channels: ChannelRealization, config: NetworkConfig,
                   scenario: str, warm: SolveResult | None = None) -> SolveResult:
     """Solve the relays and select.
 
-    ``warm`` (one SolveResult or a sequence of them, each with one result per
-    relay of ``channels``) recycles previous per-relay allocations as lower
-    bounds: each result is at least as good as its best feasible warm point,
-    which makes interference cap sweeps monotone.
+    ``warm`` (a SolveResult with one result per relay of ``channels``)
+    recycles previous per-relay allocations as lower bounds: each result is at
+    least as good as its feasible warm point, which makes interference cap
+    sweeps monotone.  Raises ValueError if ``channels`` and ``config`` (or
+    ``warm``) disagree on the number of relays.
 
     The non-coherent and half-duplex closed forms are evaluated for all relays
     at once, in one broadcast over (relays x candidates).  A coherent solve over
@@ -437,17 +431,16 @@ def solve_network(channels: ChannelRealization, config: NetworkConfig,
     one broadcast after the solved ones.
     """
     scenario = _norm_scenario(scenario)
-    warms = [warm] if isinstance(warm, SolveResult) else list(warm or [])
-    warms = [w for w in warms if w is not None]
     n = channels.num_relays
-    for w in warms:
-        if len(w.relays) != n:
-            raise ValueError(f"warm result has {len(w.relays)} relays, the channels have {n}")
+    if n != config.num_relays:
+        raise ValueError(f"the channels have {n} relays, the config {config.num_relays}")
+    if warm is not None and len(warm.relays) != n:
+        raise ValueError(f"warm result has {len(warm.relays)} relays, the channels have {n}")
     # relays down a column (a lone relay's numpy-scalar gains are several times
-    # faster than 1-arrays), and each warm result as one (p_s, p_r) point of columns
+    # faster than 1-arrays), and the warm result as one (p_s, p_r) point of columns
     k = np.arange(n)[:, None] if n > 1 else 0
-    warm_points = [(np.array([[r.alloc.p_s] for r in w.relays]),
-                    np.array([[r.alloc.p_r] for r in w.relays])) for w in warms]
+    warm_points = [] if warm is None else [(np.array([[r.alloc.p_s] for r in warm.relays]),
+                                            np.array([[r.alloc.p_r] for r in warm.relays]))]
     if scenario != COHERENT:
         points = _closed_form(channels, k, config, scenario, warm_points)
         return select_relay([_relay_result(i, scenario, p, 0)
@@ -458,8 +451,8 @@ def solve_network(channels: ChannelRealization, config: NetworkConfig,
         if bounds[i] * (1.0 + 1e-9) < best:
             skipped.append(i)
         else:
-            results[i] = alternate_optimize(channels, i, config, scenario,
-                                            warm_start=[w.relays[i].alloc for w in warms])
+            results[i] = alternate_optimize(channels, i, config, scenario, warm_start=(
+                None if warm is None else warm.relays[i].alloc))
             best = max(best, results[i].rate)
     if skipped:
         points = _pick(channels, k[skipped], config, COHERENT,

@@ -65,7 +65,6 @@ def test_db_round_trip(x):
     dict(zeta=math.inf),
     dict(i_bar_p=math.nan),
     dict(sigma2_dest=math.inf),
-    dict(sigma2_pu=math.inf),
     dict(var_rr=math.inf),
     dict(var_sp_range=(0.8, math.inf)),
     dict(sampling_freq=math.inf),
@@ -266,6 +265,21 @@ def test_channel_realization_is_frozen(stock_channels):
         stock_channels.h_sp = 0j
     with pytest.raises(ValueError):
         stock_channels.h_sr[0] = 0j  # arrays locked too
+
+
+@pytest.mark.parametrize("name", ["h_sp", "h_sd", "h_sr", "h_rd", "h_rp", "h_rr"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_channel_realization_rejects_non_finite_coefficients(stock_channels, name, bad):
+    # the solvers raise nothing on a non-finite coefficient (a NaN h_sr[k] rates relay
+    # k 0.0 with only numpy warnings), so the realization rejects it
+    coeff = getattr(stock_channels, name)
+    if isinstance(coeff, np.ndarray):
+        coeff = coeff.copy()
+        coeff[1] = bad
+    else:
+        coeff = complex(bad)
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(stock_channels, **{name: coeff})
 
 
 def test_cached_gains_match_the_scalar_path():

@@ -87,11 +87,6 @@ def test_warm_start_lower_bounds_result(stock_config):
         res = fd.alternate_optimize(channels, 0, stock_config, NONCOHERENT,
                                     warm_start=oracle.alloc)
         assert res.rate >= oracle.rate - 1e-9
-        # sequences of warm points are accepted too
-        res2 = fd.alternate_optimize(
-            channels, 0, stock_config, NONCOHERENT,
-            warm_start=[fd.PowerAllocation(0.1, 0.1), oracle.alloc])
-        assert res2.rate >= oracle.rate - 1e-9
 
 
 def test_zero_interference_budget(stock_channels):
@@ -278,12 +273,9 @@ def test_solve_network_selection(stock_channels, stock_config):
 
 def test_solve_network_warm_forms(stock_channels, stock_config):
     cold = fd.solve_network(stock_channels, stock_config, NONCOHERENT)
-    warm1 = fd.solve_network(stock_channels, stock_config, NONCOHERENT, warm=cold)
-    warm2 = fd.solve_network(stock_channels, stock_config, NONCOHERENT,
-                             warm=[None, cold])
-    for w in (warm1, warm2):
-        for r, c in zip(w.relays, cold.relays):
-            assert r.rate >= c.rate - 1e-9
+    warm = fd.solve_network(stock_channels, stock_config, NONCOHERENT, warm=cold)
+    for r, c in zip(warm.relays, cold.relays):
+        assert r.rate >= c.rate - 1e-9
 
 
 def test_solve_network_rejects_a_warm_result_with_another_relay_count():
@@ -296,7 +288,46 @@ def test_solve_network_rejects_a_warm_result_with_another_relay_count():
         with pytest.raises(ValueError, match="4 relays.* 8"):  # fewer relays
             fd.solve_network(ch8, cfg8, scenario, warm=warm4)
         with pytest.raises(ValueError, match="8 relays.* 4"):  # more relays
-            fd.solve_network(ch4, cfg4, scenario, warm=[warm4, warm8])
+            fd.solve_network(ch4, cfg4, scenario, warm=warm8)
+
+
+def test_solve_network_rejects_channels_with_another_relay_count():
+    # channels and config must agree on K, or the solve would quietly use the channels'
+    cfg8 = harness.load_config(CONFIG_DIR / "stock8.cfg")
+    ch8 = fd.sample_channels(cfg8, seed=2)
+    for scenario in (NONCOHERENT, COHERENT, HD_BASELINE):
+        with pytest.raises(ValueError, match="8 relays.* 3"):
+            fd.solve_network(ch8, dataclasses.replace(cfg8, num_relays=3), scenario)
+
+
+@pytest.mark.parametrize("k", [-1, 8])
+def test_relay_index_out_of_range_rejected(k):
+    # a negative k would solve relay K + k and report it as k
+    cfg = harness.load_config(CONFIG_DIR / "stock8.cfg")
+    channels = fd.sample_channels(cfg, seed=2)
+    for scenario in (NONCOHERENT, COHERENT, HD_BASELINE):
+        with pytest.raises(ValueError, match=f"index {k} .* 8 relays"):
+            fd.alternate_optimize(channels, k, cfg, scenario)
+        with pytest.raises(ValueError, match=f"index {k} .* 8 relays"):
+            fd.brute_force(channels, k, cfg, scenario, grid_n=5)
+
+
+@pytest.mark.parametrize("scenario,p_s_max,p_r_max,i_bar_p,zeta,seed,raise_by", [
+    (NONCOHERENT, 27288303.581350088, 40.14518542724135, 50883.15382975333,
+     4.1020998421044635e-05, 505022069, 1e-12),
+    (HD_BASELINE, 11266533.649059188, 3.2134507046322343, 247.17398224697547,
+     9.293870626942605, 688006974, 1e-15),
+], ids=["noncoherent", "half-duplex"])
+def test_warm_chain_keeps_closed_form_sweeps_monotone(scenario, p_s_max, p_r_max, i_bar_p,
+                                                      zeta, seed, raise_by):
+    # the closed forms are exact optima, but a cold solve at a cap raised this
+    # little falls by a few ulps; the warm point keeps the sweep monotone
+    cfg = fd.NetworkConfig(num_relays=1, zeta=zeta, p_s_max=p_s_max, p_r_max=p_r_max,
+                           i_bar_p=i_bar_p)
+    channels = fd.sample_channels(cfg, seed=seed)
+    first = fd.solve_network(channels, cfg, scenario)
+    raised = dataclasses.replace(cfg, i_bar_p=i_bar_p * (1.0 + raise_by))
+    assert fd.solve_network(channels, raised, scenario, warm=first).rate >= first.rate
 
 
 def test_coherent_dominates_noncoherent(stock_config):
