@@ -157,13 +157,13 @@ def g_partials(ps: float, pr: float, channels: ChannelRealization, k: int,
 
 def ftilde_partials(ps: float, pr: float, channels: ChannelRealization, k: int,
                     config: NetworkConfig) -> tuple[float, float, float, float, float, float]:
-    """(ft, ft_s, ft_r, ft_ss, ft_sr, ft_rr) of the zero-leakage reciprocal.
+    """(ft, ft_s, ft_r, ft_ss, ft_sr, ft_rr) of the zero-leakage reciprocal; broadcasts.
 
     Separable in the two powers, so the mixed partial of ft is identically 0
-    (the mixed partial of 1/ft is not).
+    (the mixed partial of 1/ft is not).  lemma_suite passes a draw's points as arrays.
     """
     hsr2, hrd2, _, s2d, s2r = _coeffs(channels, k, config)
-    if not (ps > 0.0 and pr > 0.0):
+    if not (np.all(ps > 0.0) and np.all(pr > 0.0)):
         raise DomainError(f"interior point required, got ps={ps!r}, pr={pr!r}")
     ft = hrd2 / (ps * s2d) + hsr2 / (s2r * pr)
     ft_s = -hrd2 / (ps ** 2 * s2d)
@@ -174,14 +174,17 @@ def ftilde_partials(ps: float, pr: float, channels: ChannelRealization, k: int,
     return ft, ft_s, ft_r, ft_ss, ft_sr, ft_rr
 
 
-def _hessian_report(partials, scale: float) -> HessianReport:
-    """Hessian of scale/v from the partials (v, v_1, v_2, v_11, v_12, v_22) of v
-    (quotient rule)."""
+def _quotient_hessian(partials, scale: float):
+    """(h11, h12, h22, det) of scale/v from v's partials (quotient rule); broadcasts."""
     v, v1, v2, v11, v12, v22 = partials
     h11 = scale * (-(v * v11 - 2.0 * v1 * v1) / v ** 3)
     h12 = scale * (-(v * v12 - 2.0 * v1 * v2) / v ** 3)
     h22 = scale * (-(v * v22 - 2.0 * v2 * v2) / v ** 3)
-    det = h11 * h22 - h12 * h12
+    return h11, h12, h22, h11 * h22 - h12 * h12
+
+
+def _hessian_report(partials, scale: float) -> HessianReport:
+    h11, h12, h22, det = _quotient_hessian(partials, scale)
     return HessianReport(h11=h11, h12=h12, h21=h12, h22=h22, det=det,
                          definiteness=_classify(h11, h22, det))
 
@@ -323,8 +326,9 @@ def sc2_witness(channels: ChannelRealization, k: int,
         if ps <= 0.0 or pr <= 0.0:
             break
         rep = hessian_coh((ps, pr), channels, k, config)
-        num = numeric_hessian(lambda a, b: 1.0 / g_partials(a, b, channels, k, config)[0],
-                              ps, pr)
+        # g(ps, pr) is f(ps^2, pr^2) op for op: numeric_hessian's bits over 1/g
+        num = _numeric_hessian_vals(_sqrt_coords(
+            lambda a, b: 1.0 / f_partials(a, b, channels, k, config)[0]), ps, pr)
         num_det = num[0, 0] * num[1, 1] - num[0, 1] * num[1, 0]
         if rep.det < 0.0 and num_det < 0.0:
             return (ps, pr), float(rep.det)
@@ -346,16 +350,31 @@ def convexified_curvatures(channels: ChannelRealization, k: int,
     return q_ss, q_sr, q_rr
 
 
+def _surrogate_vals(channels: ChannelRealization, k: int, config: NetworkConfig):
+    """rate_noncoh_obj as one broadcasting function of (ps, pr), with the same bits."""
+    hsr2, hrd2, zh, s2d, _ = _coeffs(channels, k, config)
+    return lambda ps, pr: _model._noncoh_obj_vals(ps, pr, hsr2, hrd2, zh, s2d)
+
+
+def _sqrt_coords(fn):
+    """fn at the squared point, so _sqrt_coords(_surrogate_vals(...)) is rate_coh_obj; squares
+    by Python's float pow, as there and in g_partials (numpy's array power can differ)."""
+    return lambda xs, ys: fn(*(np.array([c ** 2 for c in a.tolist()]) for a in (xs, ys)))
+
+
 # ----------------------------------------------------------------------------
 # Finite-difference oracles.
 # ----------------------------------------------------------------------------
+
+_REL_STEP = 1e-4
+
 
 def _steps(x: float, y: float, rel_step: float) -> tuple[float, float]:
     # relative to |x| even below rel_step, so x +- h keeps x's sign; rel_step^2 at x = 0
     return rel_step * (abs(x) or rel_step), rel_step * (abs(y) or rel_step)
 
 
-def numeric_gradient(fn, x: float, y: float, rel_step: float = 1e-4) -> np.ndarray:
+def numeric_gradient(fn, x: float, y: float, rel_step: float = _REL_STEP) -> np.ndarray:
     """Central-difference gradient of a scalar function of two variables."""
     hx, hy = _steps(x, y, rel_step)
     gx = (fn(x + hx, y) - fn(x - hx, y)) / (2.0 * hx)
@@ -363,12 +382,30 @@ def numeric_gradient(fn, x: float, y: float, rel_step: float = 1e-4) -> np.ndarr
     return np.array([gx, gy])
 
 
-def numeric_hessian(fn, x: float, y: float, rel_step: float = 1e-4) -> np.ndarray:
-    """Central-difference 2x2 Hessian (symmetric by construction)."""
+def numeric_hessian(fn, x: float, y: float, rel_step: float = _REL_STEP) -> np.ndarray:
+    """Central-difference 2x2 Hessian (symmetric), one scalar ``fn`` call per stencil point;
+    lemma_suite's witnesses use _numeric_hessian_vals, one broadcasting call per stencil."""
+    return _stencil_hessian(lambda xs, ys: [fn(a, b) for a, b in zip(xs, ys)], x, y, rel_step)
+
+
+def _numeric_hessian_vals(fn, x: float, y: float) -> np.ndarray:
+    """numeric_hessian's bits from one call of a broadcasting ``fn`` on the 9 points.
+    A negative point raises ValueError, as PowerAllocation does, not a boundary 0."""
+    def evaluate(xs, ys):
+        xs, ys = np.array(xs), np.array(ys)
+        if not (np.all(xs >= 0.0) and np.all(ys >= 0.0)):
+            raise ValueError(f"stencil leaves the power quadrant: {xs!r}, {ys!r}")
+        return fn(xs, ys)
+    return _stencil_hessian(evaluate, x, y, _REL_STEP)
+
+
+def _stencil_hessian(evaluate, x: float, y: float, rel_step: float) -> np.ndarray:
+    """9-point central-difference Hessian; ``evaluate(xs, ys)`` gives fn at (xs[i], ys[i]):
+    the centre, x +- hx, y +- hy, then the corners (+,+), (+,-), (-,+), (-,-)."""
     hx, hy = _steps(x, y, rel_step)
-    f0 = fn(x, y)
-    dxx = (fn(x + hx, y) - 2.0 * f0 + fn(x - hx, y)) / (hx * hx)
-    dyy = (fn(x, y + hy) - 2.0 * f0 + fn(x, y - hy)) / (hy * hy)
-    dxy = (fn(x + hx, y + hy) - fn(x + hx, y - hy)
-           - fn(x - hx, y + hy) + fn(x - hx, y - hy)) / (4.0 * hx * hy)
+    v = evaluate((x, x + hx, x - hx, x, x, x + hx, x + hx, x - hx, x - hx),
+                 (y, y, y, y + hy, y - hy, y + hy, y - hy, y + hy, y - hy))
+    dxx = (v[1] - 2.0 * v[0] + v[2]) / (hx * hx)
+    dyy = (v[3] - 2.0 * v[0] + v[4]) / (hy * hy)
+    dxy = (v[5] - v[6] - v[7] + v[8]) / (4.0 * hx * hy)
     return np.array([[dxx, dxy], [dxy, dyy]])

@@ -296,8 +296,13 @@ def lemma_suite(config: NetworkConfig, base_seed: int = 0, num_points: int = 200
     """Run the structural checks and report pass/fail per check.
 
     num_points scales the pointwise curvature checks; num_draws scales the
-    per-realization witness constructions and phase instances.
+    per-realization witness constructions and phase instances; both must be
+    >= 1.  Each draw's curvature points go through the closed forms as one
+    array, and each witness's 9-point stencil is one broadcasting call.
     """
+    for name, n in (("num_points", num_points), ("num_draws", num_draws)):
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1, got {n!r}")
     checks: list[LemmaCheck] = []
     rng = np.random.default_rng(base_seed)
     p_max = max(config.p_s_max, config.p_r_max)
@@ -324,7 +329,7 @@ def lemma_suite(config: NetworkConfig, base_seed: int = 0, num_points: int = 200
             worst_eq = max(worst_eq, abs(sol.i_coh - closed) / max(closed, 1e-30))
             n_phase += 1
     checks.append(LemmaCheck(
-        "phase-alignment-optimality", worst_rel <= 1e-9 and worst_eq <= 1e-12,
+        "phase-alignment-optimality", worst_rel <= 1e-9 and worst_eq <= 1e-12 and n_phase > 0,
         n_phase, f"max rel excess over grid {worst_rel:.3e}, closed-form dev {worst_eq:.3e}"))
 
     # --- the leaky surrogate's reciprocal is convex in each power separately
@@ -350,14 +355,13 @@ def lemma_suite(config: NetworkConfig, base_seed: int = 0, num_points: int = 200
     for ch in draws:
         ps, pr = _interior_points(rng, max(1, num_points // num_draws), p_max)
         k = int(rng.integers(ch.num_relays))
-        for a, b in zip(ps, pr):
-            rep = analysis.hessian_noncoh_zeta_zero(
-                PowerAllocation(float(a), float(b)), ch, k, config)
-            scale = max(abs(rep.h11), abs(rep.h22), 1e-30)
-            n_pts += 1
-            if not (rep.h11 < 1e-15 and rep.h22 < 1e-15
-                    and rep.det > -1e-9 * scale ** 2):
-                bad += 1
+        h11, _, h22, det = analysis._quotient_hessian(
+            analysis.ftilde_partials(ps, pr, ch, k, config),
+            analysis._surrogate_scale(ch, k, config, zero_leakage=True))
+        scale = np.maximum(np.maximum(np.abs(h11), np.abs(h22)), 1e-30)
+        n_pts += ps.size
+        bad += int(np.count_nonzero(~((h11 < 1e-15) & (h22 < 1e-15)
+                                      & (det > -1e-9 * scale ** 2))))
     checks.append(LemmaCheck("noncoh-zeta0-joint-concavity", bad == 0 and n_pts > 0,
                              n_pts, f"{bad} semidefiniteness violations"))
 
@@ -366,12 +370,11 @@ def lemma_suite(config: NetworkConfig, base_seed: int = 0, num_points: int = 200
     def noncoh_witness(ch, k):
         p_rk = float(rng.uniform(0.1, config.p_r_max))
         ps_w = 0.9 * analysis.threshold_ps(ch, k, config, p_rk).p_s_tilde
-        return (ps_w, p_rk), lambda a, b: model.rate_noncoh_obj(
-            PowerAllocation(a, b), ch, k, config)
+        return (ps_w, p_rk), analysis._surrogate_vals(ch, k, config)
 
     def coh_witness(ch, k):
         point, _ = analysis.sc2_witness(ch, k, config)  # certifies its closed-form det < 0
-        return point, lambda a, b: model.rate_coh_obj((a, b), ch, k, config)
+        return point, analysis._sqrt_coords(analysis._surrogate_vals(ch, k, config))
 
     for name, witness in (("noncoh-joint-nonconvexity-witness", noncoh_witness),
                           ("coh-joint-nonconvexity-witness", coh_witness)):
@@ -386,7 +389,7 @@ def lemma_suite(config: NetworkConfig, base_seed: int = 0, num_points: int = 200
             except analysis.DomainError:
                 bad += 1
                 continue
-            hnum = analysis.numeric_hessian(obj, ps_w, pr_w)
+            hnum = analysis._numeric_hessian_vals(obj, ps_w, pr_w)
             if not hnum[0, 0] * hnum[1, 1] - hnum[0, 1] * hnum[1, 0] < 0.0:
                 bad += 1
         checks.append(LemmaCheck(name, bad == 0 and n_w > 0, n_w,

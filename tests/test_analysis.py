@@ -1,11 +1,12 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fdrelay as fd
-from fdrelay import Definiteness, DomainError
+from fdrelay import Definiteness, DomainError, analysis, harness
 
 
 def unit_channels():
@@ -74,6 +75,21 @@ def test_sqrt_coordinate_value_identity(stock_channels, stock_config):
 def test_ftilde_mixed_partial_is_zero(stock_channels, stock_config):
     vals = fd.ftilde_partials(3.0, 5.0, stock_channels, 0, stock_config)
     assert vals[4] == 0.0
+
+
+def test_ftilde_partials_broadcast_like_f_and_g(stock_channels, stock_config):
+    rng = np.random.default_rng(13)
+    ps, pr = rng.uniform(0.05, 30.0, 50), rng.uniform(0.05, 30.0, 50)
+    arrays = [np.broadcast_to(v, ps.shape)
+              for v in fd.ftilde_partials(ps, pr, stock_channels, 1, stock_config)]
+    for i in range(ps.size):
+        point = fd.ftilde_partials(float(ps[i]), float(pr[i]), stock_channels, 1, stock_config)
+        for a, b in zip(arrays, point):
+            # numpy's array power and Python's float pow may differ in the last bit
+            assert a[i] == pytest.approx(b, rel=8 * np.finfo(float).eps, abs=0.0)
+    with pytest.raises(DomainError):
+        fd.ftilde_partials(np.array([1.0, 0.0]), np.array([1.0, 2.0]),
+                           stock_channels, 0, stock_config)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +297,58 @@ def test_numeric_oracles_on_known_function():
     assert hess[0, 0] == pytest.approx(6 * 1.5 * 2.0, rel=1e-4)
     assert hess[0, 1] == pytest.approx(3 * 1.5 ** 2, rel=1e-4)
     assert hess[1, 1] == pytest.approx(4.0, rel=1e-4)
+
+
+def test_one_stencil_two_evaluators():
+    # the array path evaluates numeric_hessian's stencil in one broadcasting
+    # call: it must return the scalar path's bits, not merely close values
+    config = harness.load_config(Path(__file__).resolve().parents[1] / "configs" / "stock8.cfg")
+    channels = fd.sample_channels(config, seed=3)
+    rng = np.random.default_rng(31)
+    points = [(float(np.exp(rng.uniform(-4.6, 4.6))), float(np.exp(rng.uniform(-4.6, 4.6))),
+               i % config.num_relays) for i in range(200)]
+    points.append((5e-9, 1.0, 0))  # at a near-zero witness
+    # stencils where numpy's array square differs in the last bit from Python's float pow
+    points += [(46.127608062898766, 23.36425676883656, 2),
+               (0.07295857134356051, 0.01928195998743038, 4),
+               (0.021474253129325566, 4.500669037996789, 2)]
+    for i, (x, y, k) in enumerate(points):
+        def noncoh(a, b):
+            return fd.rate_noncoh_obj(fd.PowerAllocation(a, b), channels, k, config)
+
+        def coh(a, b):
+            return fd.rate_coh_obj((a, b), channels, k, config)
+
+        def inv_g(a, b):
+            return 1.0 / fd.g_partials(a, b, channels, k, config)[0]
+
+        def inv_f_vals(a, b):  # sc2_witness's certificate objective
+            return 1.0 / fd.f_partials(a, b, channels, k, config)[0]
+
+        noncoh_vals = analysis._surrogate_vals(channels, k, config)
+        for scalar, vals in ((noncoh, noncoh_vals),
+                             (coh, analysis._sqrt_coords(noncoh_vals)),
+                             (inv_g, analysis._sqrt_coords(inv_f_vals))):
+            expect = fd.numeric_hessian(scalar, x, y)
+            assert (analysis._numeric_hessian_vals(vals, x, y) == expect).all(), (i, scalar)
+
+
+def test_array_stencil_rejects_a_negative_point(stock_channels, stock_config):
+    # at x = 0 the stencil probes x - 1e-8: the scalar path raises in
+    # PowerAllocation, and the array path must not read it as the boundary
+    def noncoh(a, b):
+        return fd.rate_noncoh_obj(fd.PowerAllocation(a, b), stock_channels, 0, stock_config)
+
+    def coh(a, b):
+        return fd.rate_coh_obj((a, b), stock_channels, 0, stock_config)
+
+    vals = analysis._surrogate_vals(stock_channels, 0, stock_config)
+    for scalar, array in ((noncoh, vals), (coh, analysis._sqrt_coords(vals))):
+        for x, y in ((0.0, 1.0), (1.0, -2.0)):
+            with pytest.raises(ValueError):
+                fd.numeric_hessian(scalar, x, y)
+            with pytest.raises(ValueError, match="power quadrant"):
+                analysis._numeric_hessian_vals(array, x, y)
 
 
 def test_numeric_steps_keep_a_small_positive_coordinate_positive():

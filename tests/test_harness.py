@@ -295,6 +295,29 @@ def test_lemma_suite_checked_counts(points, draws, counts):
     assert all(c.passed for c in checks)
 
 
+@pytest.mark.parametrize("points,draws,name", [
+    (100, 0, "num_draws"), (-3, 5, "num_points"), (0, 1, "num_points")])
+def test_lemma_suite_rejects_non_positive_sizes(points, draws, name):
+    # with no draws the phase check used to pass with 0 instances checked
+    with pytest.raises(ValueError, match=name):
+        lemma_suite(small_config(), base_seed=0, num_points=points, num_draws=draws)
+
+
+def test_lemma_suite_report_is_pinned():
+    checks = lemma_suite(default_config(), 0, num_points=10_000, num_draws=100)
+    assert [f"{c.name},{c.passed},{c.checked},{c.detail}" for c in checks] == [
+        "phase-alignment-optimality,True,200,"
+        "max rel excess over grid 0.000e+00, closed-form dev 0.000e+00",
+        "noncoh-per-variable-convexity,True,10000,0 sign violations",
+        "coh-per-variable-convexity,True,10000,0 sign violations",
+        "noncoh-zeta0-joint-concavity,True,10000,0 semidefiniteness violations",
+        "noncoh-joint-nonconvexity-witness,True,100,0 uncertified witnesses",
+        "coh-joint-nonconvexity-witness,True,100,0 uncertified witnesses",
+        "cross-term-bound,True,1000,max normalized slack -6.925e-01",
+        "surrogate-conservatism,True,1000,coupling ratio in [0.0026, 0.7692]",
+    ]
+
+
 def test_lemma_suite_passes_where_a_witness_sits_near_zero_power():
     # a non-coherent witness here has p_s ~ 9e-9, below the old finite-difference
     # step floor; the suite raised ValueError instead of reporting
