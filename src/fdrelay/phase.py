@@ -177,17 +177,30 @@ def _amp_gap_vals(ps, pr, channels: ChannelRealization, k, config: NetworkConfig
     arrays ps, pr.  The aligned interference is its square, so the feasible
     set is where it lies in [-sqrt(i_bar_p), sqrt(i_bar_p)].  ``k`` is a relay
     index, or an integer array of them that broadcasts against ps and pr."""
-    ps = np.asarray(ps, dtype=float)
+    return _gap_at(ps, _gap_columns(pr, channels, k, config), channels, k, config)
+
+
+def _gap_columns(pr, channels: ChannelRealization, k, config: NetworkConfig):
+    """The terms of ``_amp_gap_vals`` that depend on p_r alone: h_rp sqrt(zeta p_r),
+    zeta p_r |h_rr|^2, h_rr sqrt(zeta p_r) and sqrt(p_r).  A search builds them
+    once per p_r column and evaluates many source powers with ``_gap_at``."""
     pr = np.asarray(pr, dtype=float)
-    hrp = channels.h_rp[k]
+    zpr = config.zeta * pr
+    szr = np.sqrt(zpr)
+    return (channels.h_rp[k] * szr, zpr * channels.hrr2[k], channels.h_rr[k] * szr, np.sqrt(pr))
+
+
+def _gap_at(ps, columns, channels: ChannelRealization, k, config: NetworkConfig):
+    """|a| - |b| at source powers ps, against ``_gap_columns`` terms that broadcast
+    with ps; the operations and their order are those of the one-shot formula."""
+    hrp_szr, zpr_hrr2, hrr_szr, spr = columns
+    ps = np.asarray(ps, dtype=float)
     sps = np.sqrt(ps)
-    szr = np.sqrt(config.zeta * pr)
-    a = channels.h_sp * sps + hrp * szr
-    g = 1.0 / np.sqrt(ps * channels.hsr2[k] + config.zeta * pr * channels.hrr2[k]
-                      + config.sigma2_relay)
+    a = channels.h_sp * sps + hrp_szr
+    g = 1.0 / np.sqrt(ps * channels.hsr2[k] + zpr_hrr2 + config.sigma2_relay)
     noise = math.sqrt(config.sigma2_relay) * (1.0 + 1.0j) / math.sqrt(2.0)
-    d = channels.h_sr[k] * sps + channels.h_rr[k] * szr + noise
-    b = d * g * hrp * np.sqrt(pr)
+    d = channels.h_sr[k] * sps + hrr_szr + noise
+    b = d * g * channels.h_rp[k] * spr
     return np.abs(a) - np.abs(b)
 
 

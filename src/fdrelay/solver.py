@@ -15,10 +15,18 @@ max over p_r of R(ps_top(p_r), p_r).  ps_top is, per scenario:
   phi' = Q/(Ibar - c p_r)^2 - P/p_r^2 (P, Q > 0) vanishes at Ibar/(c + sqrt(Q/P)).
 * half-duplex: the slot caps decouple and the rate rises in both powers,
   so the optimum is the corner (min(P_s, Ibar/|h_sp|^2), min(P_r, Ibar/|h_rp|^2));
-* coherent: the top root of |a| - |b| = +-sqrt(Ibar) along p_s
+* coherent: first the power-box maximizer (P_s, p_r*), with p_r* the flat
+  piece's minimizer above at P_s' = P_s, clipped to P_r (``_flat_pr``): phi
+  is convex in p_r at p_s = P_s, so no point of the box rates higher, and
+  where that point meets the exact coherent constraint it is the optimum (a
+  certificate; nothing is searched).
+  Otherwise, the top root of |a| - |b| = +-sqrt(Ibar) along p_s
   (``phase._amp_gap_vals``), bracketed for a whole p_r grid at once by
   scans of the gap's sign, which also finds feasible bands thinner than
-  any grid cell.  Columns are ranked by the chord root of their brackets,
+  any grid cell.  The gap's p_r terms are built once per column
+  (``phase._gap_columns``), and a column whose bracket has closed (lo == hi:
+  its top is kept) is left out of the round's later scans, which would return
+  it unchanged.  Columns are ranked by the chord root of their brackets,
   and the winning column's bracket is then shrunk to a point.
   Where the winning column tops out at P_s, the edge p_s = P_s stops being
   feasible somewhere before the next column; nested scans along p_r find
@@ -104,7 +112,7 @@ class RelayResult:
     scenario: str
     alloc: PowerAllocation
     rate: float            # exact achievable rate at alloc (always the reported figure)
-    iterations: int        # coherent p_r zoom rounds, else 0 (skips too); the tracer reads it
+    iterations: int        # 2 per solved coherent relay (certified or searched), else 0
     converged: bool        # always True; kept only because the benchmark's tracer reads it
 
 
@@ -141,7 +149,8 @@ def _cap_ratio(budget, gain):
     """budget / gain elementwise, with a zero gain never binding (inf)."""
     if not isinstance(gain, np.ndarray):  # one relay's or the source's gain
         return budget / gain if gain > 0.0 else math.inf
-    return np.divide(budget, gain, out=np.full(np.shape(gain), math.inf), where=gain > 0.0)
+    return np.divide(budget, gain, out=np.full(np.broadcast(budget, gain).shape, math.inf),
+                     where=gain > 0.0)
 
 
 def _rate_fn(channels, k, config, scenario):
@@ -175,8 +184,10 @@ def _feasible(ps, pr, channels, k, config, scenario):
             & (0.0 <= pr) & (pr <= config.p_r_max * (1 + 1e-12)))
 
 
-def _shrink(gap, pr, lo, hi, root, points):
-    """One scan of each column's bracket [lo, hi] of sqrt source powers.
+def _shrink(gap, columns, lo, hi, root, points):
+    """One scan of each column's bracket [lo, hi] of sqrt source powers, with
+    ``gap(ps, columns)`` the signed gap at (columns x points) source powers ps and
+    ``columns`` the columns' ``phase._gap_columns`` terms.
 
     Along p_s the signed gap |a| - |b| must stay in [-root, root].  With s the
     gap's sign at the bracket top, f = s*gap - root is > 0 where the top
@@ -184,12 +195,14 @@ def _shrink(gap, pr, lo, hi, root, points):
     successor are the new bracket.  Returns (lo, hi, f at lo, f at hi):
     f(lo) > 0 means the column has no feasible point, f(lo) < -2*root that lo
     still lies below the lower level (only the top root is then feasible).
+    lo == hi only where the top was kept (f(top) <= 0, or f > 0 everywhere),
+    and a further scan of such a column returns it unchanged.
     """
     t = lo[:, None] + (hi - lo)[:, None] * _UNIT[points]
-    g = gap(t * t, pr[:, None])
+    g = gap(t * t, columns)
     f = np.copysign(1.0, g[:, -1:]) * g - root
     j = points - 1 - np.argmax(f[:, ::-1] <= 0.0, axis=1)
-    rows, nxt = np.arange(len(pr)), np.minimum(j + 1, points - 1)
+    rows, nxt = np.arange(len(lo)), np.minimum(j + 1, points - 1)
     return t[rows, j], t[rows, nxt], f[rows, j], f[rows, nxt]
 
 
@@ -215,6 +228,13 @@ def _source_cap(u, hsp2, hrp2, config):
     return np.minimum(t, math.sqrt(config.p_s_max))
 
 
+def _flat_pr(ps, hsr2, hrd2, zh, config):
+    """argmin over p_r of phi = c0 + c2 p_r + c1/p_r at source power ps, sqrt(c1/c2) =
+    sqrt(s2d (ps |h_sr|^2 + s2r) / (|h_rd|^2 zeta_hat)); inf where zeta_hat |h_rd|^2 = 0."""
+    return np.sqrt(_cap_ratio(config.sigma2_dest * (ps * hsr2 + config.sigma2_relay),
+                              hrd2 * zh))
+
+
 def _coherent_bound(channels, k, config):
     """Upper bound on relay k's coherent optimum and on any rate the solver reports;
     one bound per row for an (n, 1) index array k.
@@ -233,8 +253,7 @@ def _coherent_bound(channels, k, config):
     s2r, s2d = config.sigma2_relay, config.sigma2_dest
     u = np.linspace(0.0, math.sqrt(config.p_r_max), _BOUND_CELLS + 1)
     ps = _source_cap(u[1:], hsp2, hrp2, config) ** 2
-    with np.errstate(divide="ignore", over="ignore"):  # inf where zh |h_rd|^2 = 0
-        pr = np.clip(np.sqrt(s2d * (ps * hsr2 + s2r) / (hrd2 * zh)), u[:-1] ** 2, u[1:] ** 2)
+    pr = np.clip(_flat_pr(ps, hsr2, hrd2, zh, config), u[:-1] ** 2, u[1:] ** 2)
     return np.max(model._rate_exact_vals(ps, pr, hsr2, hrd2, zh, s2r, s2d), axis=-1)
 
 
@@ -254,7 +273,7 @@ def _noncoherent_points(channels, k, config):
     ps_flat = lo(config.p_s_max, _cap_ratio(ibar, hsp2))
     # where ps_top leaves ps_flat; 0 when the cap already binds at p_r = 0
     kink = lo(pr_hi, _cap_ratio(max(ibar - hsp2 * ps_flat, 0.0), c))
-    flat = np.sqrt(_cap_ratio(s2d * (ps_flat * hsr2 + s2r), hrd2 * zh))  # inf if zh = 0
+    flat = _flat_pr(ps_flat, hsr2, hrd2, zh, config)
     with np.errstate(all="ignore"):  # discarded wherever there is no slope
         # |h_sr|^2 |h_rd|^2 phi' = q/(ibar - c p_r)^2 - p/p_r^2 on the slope
         p = s2d * (hsr2 + hsp2 * s2r / ibar)
@@ -299,23 +318,33 @@ def _closed_form(channels, k, config, scenario, warm):
 def _best_point(channels, k, config, warm):
     """(p_s, p_r, rate) of the best coherent-feasible point found for relay k, the
     (p_s, p_r) ``warm`` points included.  The whole coherent search (module
-    docstring) is here: the p_r grid and its zoom rounds, each column's bracket
-    of sqrt(ps_top) ranked by its chord root, the winning column's shrink and
-    top-edge kink, and the final ``_pick`` against the non-coherent optimum."""
-    _, _, hsp2, hrp2, _ = _gains(channels, k, config)
+    docstring) is here: the power-box maximizer's certificate, then the p_r grid
+    and its zoom rounds, each column's bracket of sqrt(ps_top) ranked by its chord
+    root, the winning column's shrink and top-edge kink, and the final ``_pick``
+    against the non-coherent optimum."""
+    hsr2, hrd2, hsp2, hrp2, zh = _gains(channels, k, config)
     root, ps_max = math.sqrt(config.i_bar_p), config.p_s_max
+    top = (ps_max, min(config.p_r_max, _flat_pr(ps_max, hsr2, hrd2, zh, config)))
+    if _feasible(*top, channels, k, config, COHERENT):  # it beats every box point
+        return tuple(v[0] for v in _pick(channels, k, config, COHERENT, [top] + warm))
     rate = _rate_fn(channels, k, config, COHERENT)
 
-    def gap(ps, pr):
-        return phase._amp_gap_vals(ps, pr, channels, k, config)
+    def gap(ps, columns):
+        return phase._gap_at(ps, columns, channels, k, config)
 
     u = np.linspace(0.0, math.sqrt(config.p_r_max), _PR_GRID)
     best, (pr, ps_lo, ps_hi, pr_next) = -1.0, (0.0, -1.0, -1.0, 0.0)
     for _ in range(_ZOOM_ROUNDS + 1):
         cols = u * u
-        lo, hi = np.zeros_like(cols), _source_cap(np.sqrt(cols), hsp2, hrp2, config)
-        for points in _COLUMN_SCANS:
-            lo, hi, f_lo, f_hi = _shrink(gap, cols, lo, hi, root, points)
+        columns = phase._gap_columns(cols[:, None], channels, k, config)
+        lo, hi, f_lo, f_hi = _shrink(gap, columns, np.zeros_like(cols), _source_cap(
+            np.sqrt(cols), hsp2, hrp2, config), root, _COLUMN_SCANS[0])
+        for points in _COLUMN_SCANS[1:]:  # a closed bracket (lo == hi) stays as it is
+            o = np.flatnonzero(hi > lo)
+            if o.size == 0:
+                break
+            lo[o], hi[o], f_lo[o], f_hi[o] = _shrink(
+                gap, [c[o] for c in columns], lo[o], hi[o], root, points)
         with np.errstate(invalid="ignore"):  # Ibar = inf: f = -inf and lo == hi
             est = np.where(hi > lo, lo + (hi - lo) * f_lo / (f_lo - f_hi), lo)
         ps_est = np.where(f_lo <= 0.0, est * est, -1.0)
@@ -327,14 +356,17 @@ def _best_point(channels, k, config, warm):
             ps_lo, ps_hi = float(lo[j] * lo[j]), float(hi[j] * hi[j])
         u = np.linspace(u[max(j - 1, 0)], u[nxt], _ZOOM_GRID)
     ps, lo, hi = ps_lo, np.sqrt([ps_lo]), np.sqrt([ps_hi])
+    columns = phase._gap_columns(np.array([[pr]]), channels, k, config)
     for _ in range(_SHRINK_ROUNDS if ps_lo < ps_hi else 0):
-        lo, hi, f_lo, _ = _shrink(gap, np.array([pr]), lo, hi, root, _SHRINK_GRID)
+        lo, hi, f_lo, _ = _shrink(gap, columns, lo, hi, root, _SHRINK_GRID)
         if f_lo[0] >= -2.0 * root:  # lo is above the lower level too
             ps = float(lo[0] * lo[0])
     points = [(ps, pr), *_noncoherent_points(channels, k, config)]
     if ps_lo == ps_hi:  # the column tops out at P_s: where does that edge end?
+        cap = _slack_cap(config.i_bar_p)  # the box holds all along [pr, pr_next]
         points.append((ps_max, _last_feasible(
-            lambda x: _feasible(ps_max, x, channels, k, config, COHERENT), pr, pr_next)))
+            lambda x: phase._interference_coh_vals(ps_max, x, channels, k, config) <= cap,
+            pr, pr_next)))
     return tuple(v[0] for v in _pick(channels, k, config, COHERENT, points + warm))
 
 

@@ -5,6 +5,7 @@ measured figures next to its pinned tolerance.  Tolerances, sizes, and seeds
 are frozen here on purpose -- do not loosen them to make a regression green.
 """
 
+import hashlib
 import math
 import time
 
@@ -201,7 +202,7 @@ def test_criterion_4_closed_forms_vs_fd(capsys):
 # 5. paired Monte-Carlo ordering properties on 200 8-relay realizations
 # ---------------------------------------------------------------------------
 
-def test_criterion_5_monte_carlo_orderings(capsys):
+def test_criterion_5_monte_carlo_orderings(capsys, tmp_path):
     t0 = time.perf_counter()
     config = harness.default_config()  # 8 relays, 20 dB caps
     zetas = (0.0, 0.001, 0.01, 0.4)
@@ -258,6 +259,12 @@ def test_criterion_5_monte_carlo_orderings(capsys):
     assert fd_mean > hd_mean, f"FD mean {fd_mean:.4f} <= HD mean {hd_mean:.4f}"
 
     assert elapsed < 300.0, f"criterion 5 took {elapsed:.1f}s (budget 300s)"
+    # the full-duplex rows' bytes, the same at the AVX-512, AVX2 and baseline
+    # numpy dispatch levels
+    harness.emit_csv(rows, tmp_path / "criterion5.csv")
+    assert len(rows) == 9600
+    assert hashlib.sha256((tmp_path / "criterion5.csv").read_bytes()).hexdigest() == (
+        "9a118adbaa0fcf6ffb1538b1214e6def4a35602d29ada2bdb88b8c478079b09b")
     nc_means = ", ".join(f"{m:.3f}" for m in zeta_means[fd.NONCOHERENT])
     _announce(capsys,
               f"CRITERION 5 PASS: 200 paired realizations; 0 non-monotone cap "

@@ -161,7 +161,7 @@ def test_optimality_gap_csv_is_pinned(tmp_path):
     emit_csv(rows, tmp_path / "gap.csv")
     assert len(rows) == 48
     assert hashlib.sha256((tmp_path / "gap.csv").read_bytes()).hexdigest() == (
-        "0da7e3ff0ca7b7bf149da65c7c1dabf208746f6e0f17b3a735a50e0ad31b7efd")
+        "4807379ec818b98436023151bfbcfead46073d5fc2b447a8e2cd98329aaef810")
 
 
 @pytest.mark.parametrize("cfg_name,digest", [

@@ -1,12 +1,16 @@
+import dataclasses
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fdrelay as fd
-from fdrelay import phase
+from fdrelay import harness, phase
 
 TWO_PI = 2.0 * math.pi
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def random_instance(seed, config):
@@ -151,3 +155,57 @@ def test_frozen_quadratic_closed_form_at_reference(stock_config):
         assert abs(dec.b) <= bound * (1 + 1e-12)
         assert sur == pytest.approx((abs(dec.a) - bound) ** 2,
                                     rel=1e-10, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the exact gap kernel
+# ---------------------------------------------------------------------------
+
+def _one_shot_gap(ps, pr, channels, k, config):
+    """The signed gap |a| - |b| written as one formula: the reference for the
+    kernel's p_r-column and per-point halves."""
+    ps = np.asarray(ps, dtype=float)
+    pr = np.asarray(pr, dtype=float)
+    hrp = channels.h_rp[k]
+    sps = np.sqrt(ps)
+    szr = np.sqrt(config.zeta * pr)
+    a = channels.h_sp * sps + hrp * szr
+    g = 1.0 / np.sqrt(ps * channels.hsr2[k] + config.zeta * pr * channels.hrr2[k]
+                      + config.sigma2_relay)
+    noise = math.sqrt(config.sigma2_relay) * (1.0 + 1.0j) / math.sqrt(2.0)
+    d = channels.h_sr[k] * sps + channels.h_rr[k] * szr + noise
+    b = d * g * hrp * np.sqrt(pr)
+    return np.abs(a) - np.abs(b)
+
+
+@pytest.mark.parametrize("cfg_name", ["stock8.cfg", "strong-leakage.cfg"])
+def test_gap_halves_match_the_one_shot_formula(cfg_name):
+    # the solver's column scans build the p_r terms once per column and evaluate
+    # only the open columns' rows; every value must keep the formula's bits
+    base = harness.load_config(CONFIG_DIR / cfg_name)
+    lattice = (np.linspace(0.0, base.p_s_max, 201)[:, None],
+               np.linspace(0.0, base.p_r_max, 201)[None, :])
+    t = np.sqrt(base.p_s_max) * np.linspace(0.0, 1.0, 33)  # a scan's sqrt p_s, from 0
+    u = np.sqrt(base.p_r_max) * np.linspace(0.0, 1.0, 129)  # its columns' sqrt p_r, from 0
+    n = base.num_relays
+    for seed, zeta in itertools.product(range(10), (0.0, 1e-3, 0.4)):
+        cfg = dataclasses.replace(base, zeta=zeta)
+        channels = fd.sample_channels(cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        scan = ((rng.uniform(0.0, 1.0, (129, 1)) * t) ** 2, (u * u)[:, None])
+        relay_rows = ((rng.uniform(0.0, 1.0, (n, 1)) * t) ** 2,
+                      rng.uniform(0.0, cfg.p_r_max, (n, 1)))
+        cases = [(k, shape) for k in range(n)
+                 for shape in [(float(rng.uniform(0.0, cfg.p_s_max)),
+                                float(rng.uniform(0.0, cfg.p_r_max))), lattice, scan]]
+        cases += [(np.arange(n)[:, None], relay_rows), (np.arange(n)[:, None], (2.0, 3.0))]
+        for k, (ps, pr) in cases:
+            want = _one_shot_gap(ps, pr, channels, k, cfg)
+            assert np.all(phase._amp_gap_vals(ps, pr, channels, k, cfg) == want)
+            columns = phase._gap_columns(pr, channels, k, cfg)
+            assert np.all(phase._gap_at(ps, columns, channels, k, cfg) == want)
+        for k in range(n):  # open columns only, as the scans after a round's first
+            rows = np.flatnonzero(rng.random(129) < 0.3)
+            columns = [c[rows] for c in phase._gap_columns(scan[1], channels, k, cfg)]
+            assert np.all(phase._gap_at(scan[0][rows], columns, channels, k, cfg)
+                          == _one_shot_gap(*scan, channels, k, cfg)[rows])

@@ -21,6 +21,16 @@ def cap_slack(config):
     return config.i_bar_p * (1 + 1e-9) + 1e-12
 
 
+def box_maximizer(channels, k, config):
+    """(P_s, p_r*): the rate rises in p_s, and at p_s = P_s it falls in the convex
+    phi = c0 + c2 p_r + c1/p_r, least at p_r* = min(P_r, sqrt(c1/c2)); so no point
+    of the power box rates higher."""
+    c2 = channels.hrd2[k] * fd.zeta_hat(channels, k, config)
+    c1 = config.sigma2_dest * (config.p_s_max * channels.hsr2[k] + config.sigma2_relay)
+    return fd.PowerAllocation(config.p_s_max,
+                              min(config.p_r_max, math.sqrt(c1 / c2) if c2 > 0.0 else math.inf))
+
+
 def interference(scenario, alloc, channels, k, config):
     """The scenario's exact constraint value; per-slot maximum for half duplex."""
     if scenario == NONCOHERENT:
@@ -367,6 +377,54 @@ def test_coherent_can_trail_noncoherent_when_its_optimum_is_infeasible():
     assert co.rate >= fd.brute_force(channels, 0, cfg, COHERENT, grid_n=201).rate
 
 
+@pytest.mark.parametrize("cfg_name", ["stock8.cfg", "strong-leakage.cfg"])
+def test_coherent_solve_returns_a_feasible_box_maximizer(cfg_name):
+    # where the power-box maximizer meets the exact coherent constraint it is the
+    # optimum, and the solve returns it without a search
+    base = harness.load_config(CONFIG_DIR / cfg_name)
+    certified = 0
+    for seed, ibar_db, zeta in itertools.product(range(3), (0.0, 10.0, 30.0),
+                                                 (0.0, 1e-3, 0.4)):
+        cfg = dataclasses.replace(base, zeta=zeta, i_bar_p=fd.db_to_linear(ibar_db))
+        channels = fd.sample_channels(cfg, seed=seed)
+        for k in range(cfg.num_relays):
+            top = box_maximizer(channels, k, cfg)
+            if fd.interference_coh(top, channels, k, cfg) > cap_slack(cfg):
+                continue
+            certified += 1
+            res = fd.alternate_optimize(channels, k, cfg, COHERENT)
+            assert res.alloc == top and res.iterations == 2
+            assert res.rate == pytest.approx(fd.rate_exact(top, channels, k, cfg), rel=1e-12)
+            assert res.rate >= fd.brute_force(channels, k, cfg, COHERENT, grid_n=201).rate
+    assert certified > 0
+
+
+@pytest.mark.parametrize("dead", ["h_sr", "h_rd"])
+def test_coherent_relay_without_a_link_rates_zero(dead):
+    base = dataclasses.replace(harness.load_config(CONFIG_DIR / "stock8.cfg"), zeta=0.4)
+    channels = fd.sample_channels(base, seed=1)
+    coeffs = getattr(channels, dead).copy()
+    coeffs[2] = 0.0
+    channels = dataclasses.replace(channels, **{dead: coeffs})
+    for ibar_db in (-10.0, 10.0, math.inf):  # box maximizer infeasible, then feasible
+        cfg = dataclasses.replace(base, i_bar_p=fd.db_to_linear(ibar_db))
+        res = fd.alternate_optimize(channels, 2, cfg, COHERENT)
+        assert (res.alloc, res.rate) == (fd.PowerAllocation(0.0, 0.0), 0.0)
+
+
+def test_feasible_box_maximizer_beats_the_search():
+    # stock8 at seed 6, zeta = 0.4, relay 6: the search's point rated
+    # 5.091376960971584 at both caps; the box maximizer (100, 37.1052...) is
+    # coherent-feasible at 0 dB already
+    base = dataclasses.replace(harness.load_config(CONFIG_DIR / "stock8.cfg"), zeta=0.4)
+    channels = fd.sample_channels(base, seed=6)
+    for ibar_db in (0.0, 10.0):
+        cfg = dataclasses.replace(base, i_bar_p=fd.db_to_linear(ibar_db))
+        res = fd.alternate_optimize(channels, 6, cfg, COHERENT)
+        assert res.alloc == box_maximizer(channels, 6, cfg)
+        assert res.rate >= 5.091376961585702
+
+
 def test_coherent_thin_feasible_band():
     # at a near-zero cap the coherent feasible set is a thin band around
     # |a| = |b|; bracketing the gap's sign change finds it, a grid mask does not
@@ -493,6 +551,9 @@ def test_envelope_invariants_over_extreme_ranges(p_s_max, p_r_max, i_bar_p, zeta
     assert interference(scenario, res.alloc, channels, 0, cfg) <= cap_slack(cfg)
     if scenario == COHERENT:
         assert solver._coherent_bound(channels, 0, cfg) >= res.rate * (1.0 - 1e-9)
+        top = box_maximizer(channels, 0, cfg)
+        if interference(scenario, top, channels, 0, cfg) <= cap_slack(cfg):
+            assert res.rate >= fd.rate_exact(top, channels, 0, cfg) * (1.0 - 1e-15)
     assert res.rate >= fd.brute_force(channels, 0, cfg, scenario, grid_n=51).rate - 1e-9
     wider = dataclasses.replace(cfg, i_bar_p=10.0 * i_bar_p)
     grown = fd.alternate_optimize(channels, 0, wider, scenario, warm_start=res.alloc)
