@@ -146,7 +146,7 @@ def g_partials(ps: float, pr: float, channels: ChannelRealization, k: int,
         raise DomainError(f"interior point required, got ps={ps!r}, pr={pr!r}")
     if zh == 0.0:
         raise DomainError("zeta_hat == 0: the sqrt-coordinate reciprocal degenerates")
-    g = 1.0 / ps ** 2 + pr ** 2 * hrd2 / (ps ** 2 * s2d) + hsr2 / (zh * pr ** 2)
+    g = 1.0 / (ps * ps) + (pr * pr) * hrd2 / ((ps * ps) * s2d) + hsr2 / (zh * (pr * pr))
     g_s = -2.0 / ps ** 3 - 2.0 * hrd2 * pr ** 2 / (ps ** 3 * s2d)
     g_r = 2.0 * hrd2 * pr / (ps ** 2 * s2d) - 2.0 * hsr2 / (zh * pr ** 3)
     g_ss = 6.0 / ps ** 4 + 6.0 * hrd2 * pr ** 2 / (s2d * ps ** 4)
@@ -358,8 +358,8 @@ def _surrogate_vals(channels: ChannelRealization, k: int, config: NetworkConfig)
 
 def _sqrt_coords(fn):
     """fn at the squared point, so _sqrt_coords(_surrogate_vals(...)) is rate_coh_obj; squares
-    by Python's float pow, as there and in g_partials (numpy's array power can differ)."""
-    return lambda xs, ys: fn(*(np.array([c ** 2 for c in a.tolist()]) for a in (xs, ys)))
+    by x * x, as there and in g_partials: IEEE multiplication rounds alike in Python and numpy."""
+    return lambda xs, ys: fn(xs * xs, ys * ys)
 
 
 # ----------------------------------------------------------------------------

@@ -124,10 +124,9 @@ class ChannelRealization:
     (read-only K-arrays) and ``hsp2`` (a float).  They are derived attributes,
     not dataclass fields, so they stay out of the constructor, ``repr``,
     equality, ``dataclasses.replace`` and the channel digest.
-    Each element is computed as ``float(np.abs(h[k]) ** 2)``, one coefficient
-    at a time through numpy's scalar path, not by ``np.abs`` over the whole
-    array: the vectorized complex magnitude can differ from the scalar one in
-    the last bit, and every solver result depends on these values bit for bit.
+    Each array is ``np.abs(h) ** 2`` over the link's coefficients, so its last
+    bit may depend on numpy's SIMD dispatch; what results promise across
+    dispatch levels is the pinned CSV bytes (README, "Reproducibility").
     """
 
     seed: int
@@ -150,7 +149,7 @@ class ChannelRealization:
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} has a NaN or infinite coefficient")
         for name in ("h_sr", "h_rd", "h_rp", "h_rr"):
-            gains = np.array([float(np.abs(h) ** 2) for h in getattr(self, name)])
+            gains = np.abs(getattr(self, name)) ** 2
             object.__setattr__(self, name.replace("_", "") + "2", gains)
         object.__setattr__(self, "hsp2", float(np.abs(self.h_sp) ** 2))
         for name in ("h_sr", "h_rd", "h_rp", "h_rr", "var_rp", "hsr2", "hrd2", "hrp2", "hrr2"):
@@ -286,7 +285,7 @@ def rate_coh_obj(p: tuple[float, float], channels: ChannelRealization, k: int,
     ps_sqrt, pr_sqrt = p
     if ps_sqrt < 0.0 or pr_sqrt < 0.0:
         raise ValueError("sqrt-power coordinates must be >= 0")
-    return rate_noncoh_obj(PowerAllocation(ps_sqrt ** 2, pr_sqrt ** 2),
+    return rate_noncoh_obj(PowerAllocation(ps_sqrt * ps_sqrt, pr_sqrt * pr_sqrt),
                            channels, k, config)
 
 

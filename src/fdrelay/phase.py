@@ -13,8 +13,8 @@ bound ``sqrt(3) * p_r_sqrt * |h_rp|`` (a three-term Cauchy-Schwarz estimate of
 the relay's composite amplitude) and freezes the alignment phase, which turns
 the constraint into a convex quadratic in square-root powers -- see
 ``ConvexifiedConstraint``.  The solver's envelope search works on the exact
-signed gap |a| - |b| instead (``_amp_gap_vals``), whose square is the
-interference.
+signed gap |a| - |b| instead (``_gap_at`` over ``_gap_columns``), whose square
+is the interference.
 """
 
 from __future__ import annotations
@@ -172,16 +172,8 @@ def convexified_interference(p: tuple[float, float], channels: ChannelRealizatio
 # Broadcastable kernels (private): exact coherent interference over power grids.
 # ----------------------------------------------------------------------------
 
-def _amp_gap_vals(ps, pr, channels: ChannelRealization, k, config: NetworkConfig):
-    """Signed amplitude gap |a| - |b| elementwise over broadcastable POWER
-    arrays ps, pr.  The aligned interference is its square, so the feasible
-    set is where it lies in [-sqrt(i_bar_p), sqrt(i_bar_p)].  ``k`` is a relay
-    index, or an integer array of them that broadcasts against ps and pr."""
-    return _gap_at(ps, _gap_columns(pr, channels, k, config), channels, k, config)
-
-
 def _gap_columns(pr, channels: ChannelRealization, k, config: NetworkConfig):
-    """The terms of ``_amp_gap_vals`` that depend on p_r alone: h_rp sqrt(zeta p_r),
+    """The terms of the signed gap |a| - |b| that depend on p_r alone: h_rp sqrt(zeta p_r),
     zeta p_r |h_rr|^2, h_rr sqrt(zeta p_r) and sqrt(p_r).  A search builds them
     once per p_r column and evaluates many source powers with ``_gap_at``."""
     pr = np.asarray(pr, dtype=float)
@@ -191,8 +183,11 @@ def _gap_columns(pr, channels: ChannelRealization, k, config: NetworkConfig):
 
 
 def _gap_at(ps, columns, channels: ChannelRealization, k, config: NetworkConfig):
-    """|a| - |b| at source powers ps, against ``_gap_columns`` terms that broadcast
-    with ps; the operations and their order are those of the one-shot formula."""
+    """The signed amplitude gap |a| - |b| at source POWERS ps, against ``_gap_columns``
+    terms that broadcast with ps, in the order of ``decompose``'s operations.  The
+    aligned interference is its square, so the feasible set is where it lies in
+    [-sqrt(i_bar_p), sqrt(i_bar_p)].  ``k`` is a relay index, or an integer array of
+    them that broadcasts against the powers."""
     hrp_szr, zpr_hrr2, hrr_szr, spr = columns
     ps = np.asarray(ps, dtype=float)
     sps = np.sqrt(ps)
@@ -207,4 +202,4 @@ def _gap_at(ps, columns, channels: ChannelRealization, k, config: NetworkConfig)
 def _interference_coh_vals(ps, pr, channels: ChannelRealization, k,
                            config: NetworkConfig):
     """(|a| - |b|)^2 elementwise over broadcastable POWER arrays ps, pr."""
-    return _amp_gap_vals(ps, pr, channels, k, config) ** 2
+    return _gap_at(ps, _gap_columns(pr, channels, k, config), channels, k, config) ** 2

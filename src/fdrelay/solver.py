@@ -21,7 +21,7 @@ max over p_r of R(ps_top(p_r), p_r).  ps_top is, per scenario:
   where that point meets the exact coherent constraint it is the optimum (a
   certificate; nothing is searched).
   Otherwise, the top root of |a| - |b| = +-sqrt(Ibar) along p_s
-  (``phase._amp_gap_vals``), bracketed for a whole p_r grid at once by
+  (``phase._gap_at``), bracketed for a whole p_r grid at once by
   scans of the gap's sign, which also finds feasible bands thinner than
   any grid cell.  The gap's p_r terms are built once per column
   (``phase._gap_columns``), and a column whose bracket has closed (lo == hi:
@@ -361,12 +361,14 @@ def _best_point(channels, k, config, warm):
         lo, hi, f_lo, _ = _shrink(gap, columns, lo, hi, root, _SHRINK_GRID)
         if f_lo[0] >= -2.0 * root:  # lo is above the lower level too
             ps = float(lo[0] * lo[0])
-    points = [(ps, pr), *_noncoherent_points(channels, k, config)]
+    # squares of sqrt-coordinates can land an ulp above the box: clip them into it
+    points = [(min(ps, ps_max), min(pr, config.p_r_max)),
+              *_noncoherent_points(channels, k, config)]
     if ps_lo == ps_hi:  # the column tops out at P_s: where does that edge end?
         cap = _slack_cap(config.i_bar_p)  # the box holds all along [pr, pr_next]
-        points.append((ps_max, _last_feasible(
+        points.append((ps_max, min(_last_feasible(
             lambda x: phase._interference_coh_vals(ps_max, x, channels, k, config) <= cap,
-            pr, pr_next)))
+            pr, pr_next), config.p_r_max)))
     return tuple(v[0] for v in _pick(channels, k, config, COHERENT, points + warm))
 
 

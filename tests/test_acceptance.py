@@ -2,10 +2,10 @@
 
 Each test prints one PASS line (visible even under pytest capture) with the
 measured figures next to its pinned tolerance.  Tolerances, sizes, and seeds
-are frozen here on purpose -- do not loosen them to make a regression green.
+are frozen here, and criterion 5's full-duplex experiment with its CSV digest
+in pins.py, on purpose -- do not loosen them to make a regression green.
 """
 
-import hashlib
 import math
 import time
 
@@ -14,6 +14,8 @@ import pytest
 
 import fdrelay as fd
 from fdrelay import harness
+
+import pins
 
 
 def _announce(capsys, line):
@@ -205,13 +207,9 @@ def test_criterion_4_closed_forms_vs_fd(capsys):
 def test_criterion_5_monte_carlo_orderings(capsys, tmp_path):
     t0 = time.perf_counter()
     config = harness.default_config()  # 8 relays, 20 dB caps
-    zetas = (0.0, 0.001, 0.01, 0.4)
-    ibars = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
-    fd_spec = harness.ExperimentSpec(
-        name="rate-vs-ibar", scenarios=(fd.NONCOHERENT, fd.COHERENT),
-        zeta_list=zetas, i_bar_p_db_list=ibars, p_max_db_list=(20.0,),
-        num_realizations=200, base_seed=0)
-    rows = harness.run_experiment(fd_spec, config)
+    pin = pins.PINS["criterion-5"]  # the full-duplex rows, on the same config
+    zetas, ibars = pin.spec.zeta_list, pin.spec.i_bar_p_db_list
+    rows = pin.run()
     hd_spec = harness.ExperimentSpec(
         name="rate-vs-ibar", scenarios=(fd.HD_BASELINE,),
         zeta_list=(0.001,), i_bar_p_db_list=ibars, p_max_db_list=(20.0,),
@@ -259,12 +257,10 @@ def test_criterion_5_monte_carlo_orderings(capsys, tmp_path):
     assert fd_mean > hd_mean, f"FD mean {fd_mean:.4f} <= HD mean {hd_mean:.4f}"
 
     assert elapsed < 300.0, f"criterion 5 took {elapsed:.1f}s (budget 300s)"
-    # the full-duplex rows' bytes, the same at the AVX-512, AVX2 and baseline
-    # numpy dispatch levels
-    harness.emit_csv(rows, tmp_path / "criterion5.csv")
-    assert len(rows) == 9600
-    assert hashlib.sha256((tmp_path / "criterion5.csv").read_bytes()).hexdigest() == (
-        "9a118adbaa0fcf6ffb1538b1214e6def4a35602d29ada2bdb88b8c478079b09b")
+    # the full-duplex rows' bytes, also checked at numpy's baseline dispatch
+    # (test_harness.py::test_pinned_csvs_hold_at_numpy_baseline_dispatch)
+    assert len(rows) == pin.rows
+    assert pins.csv_sha256(rows, tmp_path / "criterion5.csv") == pin.sha256
     nc_means = ", ".join(f"{m:.3f}" for m in zeta_means[fd.NONCOHERENT])
     _announce(capsys,
               f"CRITERION 5 PASS: 200 paired realizations; 0 non-monotone cap "

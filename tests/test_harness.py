@@ -1,7 +1,10 @@
 import csv
 import dataclasses
-import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,10 @@ from fdrelay.harness import (CSV_COLUMNS, UNCONSTRAINED, ExperimentSpec,
                              lemma_suite, load_config, parse_config_text,
                              run_experiment)
 
+import pins
+
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 LEMMA_NAMES = {
     "phase-alignment-optimality",
@@ -153,37 +159,36 @@ def test_optimality_gap_rows():
 
 def test_optimality_gap_csv_is_pinned(tmp_path):
     # the per-realization oracle lattices must reproduce these bytes exactly
-    spec = ExperimentSpec(name="optimality-gap",
-                          scenarios=(fd.NONCOHERENT, fd.COHERENT, fd.HD_BASELINE),
-                          zeta_list=(0.0, 0.4), i_bar_p_db_list=(30.0, -10.0, 0.0, 10.0),
-                          num_realizations=2, base_seed=5, grid_n=51)
-    rows = run_experiment(spec, load_config(CONFIG_DIR / "stock8.cfg"))
-    emit_csv(rows, tmp_path / "gap.csv")
-    assert len(rows) == 48
-    assert hashlib.sha256((tmp_path / "gap.csv").read_bytes()).hexdigest() == (
-        "4807379ec818b98436023151bfbcfead46073d5fc2b447a8e2cd98329aaef810")
+    pin = pins.PINS["optimality-gap"]
+    rows = pin.run()
+    assert len(rows) == pin.rows
+    assert pins.csv_sha256(rows, tmp_path / "gap.csv") == pin.sha256
 
 
-@pytest.mark.parametrize("cfg_name,digest", [
-    pytest.param("stock8.cfg",
-                 "78f5ab620adc4f6600614eb6d926f95312ef342000e07524f825afce9eb9c411",
-                 id="stock8"),
-    pytest.param("strong-leakage.cfg",
-                 "ce3e81f6fd3642093a592b830c3d7054a728fc0f258ce810d900544c568b25d6",
-                 id="strong-leakage"),
-])
-def test_rate_vs_ibar_csv_is_pinned(cfg_name, digest, tmp_path):
+@pytest.mark.parametrize("cfg_name", ["stock8", "strong-leakage"])
+def test_rate_vs_ibar_csv_is_pinned(cfg_name, tmp_path):
     # multi-relay network solves, warm-chained over the caps (zero and no cap
     # included), with coherent relay skipping, must reproduce these bytes exactly
-    spec = ExperimentSpec(name="rate-vs-ibar",
-                          scenarios=(fd.NONCOHERENT, fd.COHERENT, fd.HD_BASELINE),
-                          zeta_list=(0.0, 0.001, 0.4),
-                          i_bar_p_db_list=(-math.inf, -10.0, 0.0, 5.0, 10.0, 30.0, math.inf),
-                          p_max_db_list=(20.0,), num_realizations=2, base_seed=7)
-    rows = run_experiment(spec, load_config(CONFIG_DIR / cfg_name))
-    emit_csv(rows, tmp_path / "ibar.csv")
-    assert len(rows) == 126
-    assert hashlib.sha256((tmp_path / "ibar.csv").read_bytes()).hexdigest() == digest
+    pin = pins.PINS[f"rate-vs-ibar-{cfg_name}"]
+    rows = pin.run()
+    assert len(rows) == pin.rows
+    assert pins.csv_sha256(rows, tmp_path / "ibar.csv") == pin.sha256
+
+
+def test_pinned_csvs_hold_at_numpy_baseline_dispatch(tmp_path):
+    # the pinned bytes, not raw float bits, are the results' identity: each pin
+    # must hold with numpy's SIMD dispatch cut to its baseline.  A child process
+    # gets every dispatch target this numpy knows disabled (the targets found
+    # here and any already disabled here), and fails unless numpy reports them
+    # all as not found
+    simd = np.__config__.CONFIG["SIMD Extensions"]
+    targets = simd.get("found", []) + simd.get("not found", [])
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    proc = subprocess.run([sys.executable, pins.__file__],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {name: pin.sha256 for name, pin in pins.PINS.items()}
 
 
 @pytest.mark.parametrize("name", ["rate-vs-pr", "rate-vs-ps"])

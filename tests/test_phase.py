@@ -201,7 +201,6 @@ def test_gap_halves_match_the_one_shot_formula(cfg_name):
         cases += [(np.arange(n)[:, None], relay_rows), (np.arange(n)[:, None], (2.0, 3.0))]
         for k, (ps, pr) in cases:
             want = _one_shot_gap(ps, pr, channels, k, cfg)
-            assert np.all(phase._amp_gap_vals(ps, pr, channels, k, cfg) == want)
             columns = phase._gap_columns(pr, channels, k, cfg)
             assert np.all(phase._gap_at(ps, columns, channels, k, cfg) == want)
         for k in range(n):  # open columns only, as the scans after a round's first

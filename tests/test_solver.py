@@ -560,6 +560,28 @@ def test_envelope_invariants_over_extreme_ranges(p_s_max, p_r_max, i_bar_p, zeta
     assert grown.rate >= res.rate - 1e-12 * max(1.0, res.rate)
 
 
+@pytest.mark.filterwarnings("error")
+def test_reported_allocations_lie_in_the_closed_power_box():
+    # the coherent search squares sqrt-coordinates, which can land an ulp above
+    # P_s or P_r; what it reports must lie in the box with no slack
+    rng = np.random.default_rng(11)
+    outside = []
+    for i in range(300):
+        ps_max, pr_max = 10 ** rng.uniform(-9, 9), 10 ** rng.uniform(-9, 9)
+        ibar = 10 ** rng.uniform(-12, 6)
+        zeta = 0.0 if rng.random() < 0.2 else 10 ** rng.uniform(-6, 6)
+        cfg = fd.NetworkConfig(num_relays=1, zeta=zeta, p_s_max=ps_max,
+                               p_r_max=pr_max, i_bar_p=ibar)
+        channels = fd.sample_channels(cfg, seed=int(rng.integers(1 << 30)))
+        for scenario in (NONCOHERENT, COHERENT, HD_BASELINE):
+            for res in (fd.alternate_optimize(channels, 0, cfg, scenario),
+                        fd.solve_network(channels, cfg, scenario).best):
+                p = res.alloc
+                if not (0.0 <= p.p_s <= ps_max and 0.0 <= p.p_r <= pr_max):
+                    outside.append((i, scenario, p.p_s - ps_max, p.p_r - pr_max))
+    assert outside == []
+
+
 @st.composite
 def _networks(draw):
     """Up to 4 relays over the extreme ranges; each relay may have a zero
