@@ -12,9 +12,10 @@ The feasibility analysis of the power subproblems replaces ``|B|`` with the
 bound ``sqrt(3) * p_r_sqrt * |h_rp|`` (a three-term Cauchy-Schwarz estimate of
 the relay's composite amplitude) and freezes the alignment phase, which turns
 the constraint into a convex quadratic in square-root powers -- see
-``ConvexifiedConstraint``.  The solver's envelope search works on the exact
-signed gap |a| - |b| instead (``_gap_at`` over ``_gap_columns``), whose square
-is the interference.
+``ConvexifiedConstraint``.  The solver works on the exact signed gap |a| - |b|
+instead, whose square is the interference: ``_gap_at``, in ``decompose``'s
+operations, accepts points, and the cheaper scan kernel ``_scan_gap``, in
+sqrt(p_s) and a few ulps of |a| + |b| from it, places the search's brackets.
 """
 
 from __future__ import annotations
@@ -174,8 +175,8 @@ def convexified_interference(p: tuple[float, float], channels: ChannelRealizatio
 
 def _gap_columns(pr, channels: ChannelRealization, k, config: NetworkConfig):
     """The terms of the signed gap |a| - |b| that depend on p_r alone: h_rp sqrt(zeta p_r),
-    zeta p_r |h_rr|^2, h_rr sqrt(zeta p_r) and sqrt(p_r).  A search builds them
-    once per p_r column and evaluates many source powers with ``_gap_at``."""
+    zeta p_r |h_rr|^2, h_rr sqrt(zeta p_r) and sqrt(p_r), for ``_gap_at`` at many
+    source powers.  ``_scan_columns`` builds the scan kernel's terms from them."""
     pr = np.asarray(pr, dtype=float)
     zpr = config.zeta * pr
     szr = np.sqrt(zpr)
@@ -197,6 +198,28 @@ def _gap_at(ps, columns, channels: ChannelRealization, k, config: NetworkConfig)
     d = channels.h_sr[k] * sps + hrr_szr + noise
     b = d * g * channels.h_rp[k] * spr
     return np.abs(a) - np.abs(b)
+
+
+def _scan_columns(pr, channels: ChannelRealization, k, config: NetworkConfig):
+    """``_scan_gap``'s per-column terms at relay POWERS pr: alpha = h_rp sqrt(zeta p_r),
+    e = zeta p_r |h_rr|^2 + sigma_r^2, c1 = h_sr h_rp sqrt(p_r) and
+    c2 = (h_rr sqrt(zeta p_r) + noise) h_rp sqrt(p_r)."""
+    alpha, zpr_hrr2, hrr_szr, spr = _gap_columns(pr, channels, k, config)
+    noise = math.sqrt(config.sigma2_relay) * (1.0 + 1.0j) / math.sqrt(2.0)
+    w = channels.h_rp[k] * spr
+    return alpha, zpr_hrr2 + config.sigma2_relay, channels.h_sr[k] * w, (hrr_szr + noise) * w
+
+
+def _scan_gap(t, columns, channels: ChannelRealization, k):
+    """The signed gap |a| - |b| at t = sqrt(p_s), against ``_scan_columns`` terms that
+    broadcast with t: |h_sp t + alpha| - |c1 t + c2| / sqrt(|h_sr|^2 t^2 + e)."""
+    alpha, e, c1, c2 = columns
+    tc = np.asarray(t, dtype=complex)  # numpy casts t for each product otherwise
+    b = c1 * tc
+    b += c2
+    gap = np.abs(b)
+    gap /= np.sqrt(channels.hsr2[k] * (t * t) + e)
+    return np.abs(channels.h_sp * tc + alpha) - gap
 
 
 def _interference_coh_vals(ps, pr, channels: ChannelRealization, k,

@@ -20,14 +20,15 @@ max over p_r of R(ps_top(p_r), p_r).  ps_top is, per scenario:
   is convex in p_r at p_s = P_s, so no point of the box rates higher, and
   where that point meets the exact coherent constraint it is the optimum (a
   certificate; nothing is searched).
-  Otherwise, the top root of |a| - |b| = +-sqrt(Ibar) along p_s
-  (``phase._gap_at``), bracketed for a whole p_r grid at once by
-  scans of the gap's sign, which also finds feasible bands thinner than
-  any grid cell.  The gap's p_r terms are built once per column
-  (``phase._gap_columns``), and a column whose bracket has closed (lo == hi:
-  its top is kept) is left out of the round's later scans, which would return
-  it unchanged.  Columns are ranked by the chord root of their brackets,
-  and the winning column's bracket is then shrunk to a point.
+  Otherwise, the top root of |a| - |b| = +-sqrt(Ibar) along t = sqrt(p_s),
+  bracketed for a whole p_r grid at once by scans of the gap's sign, each
+  from its bracket's top down, which also finds bands thinner than any grid
+  cell.  The scans evaluate the scan kernel ``phase._scan_gap``, whose p_r
+  terms (``phase._scan_columns``) are built once per column; a column whose
+  bracket has closed (lo == hi: its top is kept) is left out of the round's
+  later scans, which would return it unchanged.  Columns are ranked by the
+  chord root of their brackets, and the winning column's bracket is then
+  shrunk to a point.
   Where the winning column tops out at P_s, the edge p_s = P_s stops being
   feasible somewhere before the next column; nested scans along p_r find
   that kink, and its last feasible point is compared in.  The p_r search
@@ -38,7 +39,13 @@ max over p_r of R(ps_top(p_r), p_r).  ps_top is, per scenario:
 Warm points are compared in as lower bounds, so cap sweeps are monotone by
 construction.
 Every returned allocation satisfies the box and the scenario's EXACT
-interference constraint (within 1e-9 relative).  A coherent network solve
+interference constraint (within 1e-9 relative).  Coherent points are accepted
+(``_feasible``, the certificate, the kink test, the oracle) by
+``phase._interference_coh_vals``, in ``phase.decompose``'s order of operations:
+the kink point's load can lie within its bracket of the slack cap, where a form
+a few ulps from ``interference_coh`` could accept a point that it rejects.  The
+scan kernel is such a form, so it only places brackets, against sqrt(Ibar)
+with no slack.  A coherent network solve
 skips relays that a certified rate bound rules out (``solve_network``).
 
 ``solve_network`` does its per-relay work for all relays at once, as one
@@ -56,6 +63,7 @@ cap sweep by masking the load at each cap and taking the first maximum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -92,7 +100,7 @@ _ZOOM_ROUNDS = 2
 _COLUMN_SCANS = (33, 17, 17)  # per coherent column: sqrt p_s grid, 2 refinements
 _SHRINK_GRID = 257      # points per bracket-shrink scan on the winning column
 _SHRINK_ROUNDS = 3      # bracket-shrink scans on the winning column
-_UNIT = {n: np.linspace(0.0, 1.0, n) for n in (*_COLUMN_SCANS, _SHRINK_GRID)}
+_UNIT = {n: np.linspace(0.0, 1.0, n)[::-1].copy() for n in (*_COLUMN_SCANS, _SHRINK_GRID)}
 _BOUND_CELLS = 256      # sqrt p_r cells of the coherent rate bound
 
 
@@ -180,37 +188,46 @@ def _load(ps, pr, channels, k, config, scenario):
 def _feasible(ps, pr, channels, k, config, scenario):
     """Box and EXACT scenario constraint, elementwise, with the solver's slack."""
     ok = _load(ps, pr, channels, k, config, scenario) <= _slack_cap(config.i_bar_p)
-    return (ok & (0.0 <= ps) & (ps <= config.p_s_max * (1 + 1e-12))
-            & (0.0 <= pr) & (pr <= config.p_r_max * (1 + 1e-12)))
+    return ok & (0.0 <= ps) & (ps <= config.p_s_max) & (0.0 <= pr) & (pr <= config.p_r_max)
+
+
+def _linspace(a, b, n):
+    """np.linspace(a, b, n) for n >= 2, bit for bit unless (b - a)/(n - 1)
+    underflows to 0 at a != b, without its overhead."""
+    x = np.arange(n, dtype=float) * ((b - a) / (n - 1)) + a
+    x[-1] = b
+    return x
 
 
 def _shrink(gap, columns, lo, hi, root, points):
     """One scan of each column's bracket [lo, hi] of sqrt source powers, with
-    ``gap(ps, columns)`` the signed gap at (columns x points) source powers ps and
-    ``columns`` the columns' ``phase._gap_columns`` terms.
+    ``gap(t, columns)`` the signed gap at (columns x points) sqrt source powers t
+    and ``columns`` the columns' terms (``phase._scan_columns``).
 
     Along p_s the signed gap |a| - |b| must stay in [-root, root].  With s the
     gap's sign at the bracket top, f = s*gap - root is > 0 where the top
     overshoots that level; the last scanned point with f <= 0 and its
-    successor are the new bracket.  Returns (lo, hi, f at lo, f at hi):
+    successor are the new bracket.  The scan runs from the top down, so that
+    point is the first with s*gap <= root.  Returns (lo, hi, f at lo, f at hi):
     f(lo) > 0 means the column has no feasible point, f(lo) < -2*root that lo
     still lies below the lower level (only the top root is then feasible).
     lo == hi only where the top was kept (f(top) <= 0, or f > 0 everywhere),
     and a further scan of such a column returns it unchanged.
     """
     t = lo[:, None] + (hi - lo)[:, None] * _UNIT[points]
-    g = gap(t * t, columns)
-    f = np.copysign(1.0, g[:, -1:]) * g - root
-    j = points - 1 - np.argmax(f[:, ::-1] <= 0.0, axis=1)
-    rows, nxt = np.arange(len(lo)), np.minimum(j + 1, points - 1)
-    return t[rows, j], t[rows, nxt], f[rows, j], f[rows, nxt]
+    g = gap(t, columns)
+    g *= np.copysign(1.0, g[:, :1])  # s * gap
+    j = (g <= root).argmax(axis=1)
+    at = np.arange(0, g.size, points) + j  # flat indices of lo and hi
+    nxt, t, g = at - (j > 0), t.ravel(), g.ravel()
+    return t[at], t[nxt], g[at] - root, g[nxt] - root
 
 
 def _last_feasible(ok, a, b):
     """Largest x in [a, b] with ok(x), to 1/(_SHRINK_GRID - 1)^_SHRINK_ROUNDS of
     b - a by nested scans, where ok holds from a up to one crossing."""
     for _ in range(_SHRINK_ROUNDS):
-        x = np.linspace(a, b, _SHRINK_GRID)
+        x = _linspace(a, b, _SHRINK_GRID)
         hits = np.flatnonzero(ok(x))
         if hits.size == 0:
             break
@@ -251,7 +268,7 @@ def _coherent_bound(channels, k, config):
     largest of the _BOUND_CELLS cells bounds relay k."""
     hsr2, hrd2, hsp2, hrp2, zh = _gains(channels, k, config)
     s2r, s2d = config.sigma2_relay, config.sigma2_dest
-    u = np.linspace(0.0, math.sqrt(config.p_r_max), _BOUND_CELLS + 1)
+    u = _linspace(0.0, math.sqrt(config.p_r_max), _BOUND_CELLS + 1)
     ps = _source_cap(u[1:], hsp2, hrp2, config) ** 2
     pr = np.clip(_flat_pr(ps, hsr2, hrd2, zh, config), u[:-1] ** 2, u[1:] ** 2)
     return np.max(model._rate_exact_vals(ps, pr, hsr2, hrd2, zh, s2r, s2d), axis=-1)
@@ -329,34 +346,33 @@ def _best_point(channels, k, config, warm):
         return tuple(v[0] for v in _pick(channels, k, config, COHERENT, [top] + warm))
     rate = _rate_fn(channels, k, config, COHERENT)
 
-    def gap(ps, columns):
-        return phase._gap_at(ps, columns, channels, k, config)
-
-    u = np.linspace(0.0, math.sqrt(config.p_r_max), _PR_GRID)
+    gap = functools.partial(phase._scan_gap, channels=channels, k=k)
+    u = _linspace(0.0, math.sqrt(config.p_r_max), _PR_GRID)
     best, (pr, ps_lo, ps_hi, pr_next) = -1.0, (0.0, -1.0, -1.0, 0.0)
     for _ in range(_ZOOM_ROUNDS + 1):
         cols = u * u
-        columns = phase._gap_columns(cols[:, None], channels, k, config)
+        columns = phase._scan_columns(cols[:, None], channels, k, config)
         lo, hi, f_lo, f_hi = _shrink(gap, columns, np.zeros_like(cols), _source_cap(
-            np.sqrt(cols), hsp2, hrp2, config), root, _COLUMN_SCANS[0])
+            u, hsp2, hrp2, config), root, _COLUMN_SCANS[0])
         for points in _COLUMN_SCANS[1:]:  # a closed bracket (lo == hi) stays as it is
-            o = np.flatnonzero(hi > lo)
-            if o.size == 0:
-                break
-            lo[o], hi[o], f_lo[o], f_hi[o] = _shrink(
-                gap, [c[o] for c in columns], lo[o], hi[o], root, points)
-        with np.errstate(invalid="ignore"):  # Ibar = inf: f = -inf and lo == hi
-            est = np.where(hi > lo, lo + (hi - lo) * f_lo / (f_lo - f_hi), lo)
-        ps_est = np.where(f_lo <= 0.0, est * est, -1.0)
-        vals = np.where(ps_est >= 0.0, rate(np.maximum(ps_est, 0.0), cols), -1.0)
-        j = int(np.argmax(vals))
+            o = hi > lo
+            if o.all():
+                lo, hi, f_lo, f_hi = _shrink(gap, columns, lo, hi, root, points)
+            elif o.any():
+                lo[o], hi[o], f_lo[o], f_hi[o] = _shrink(
+                    gap, [c[o] for c in columns], lo[o], hi[o], root, points)
+        # the chord root of each open bracket (f_lo <= 0 < f_hi), lo where it is closed
+        est = lo + np.divide((hi - lo) * f_lo, f_lo - f_hi, out=np.zeros_like(lo),
+                             where=hi > lo)
+        vals = np.where(f_lo <= 0.0, rate(est * est, cols), -1.0)
+        j = int(vals.argmax())
         nxt = min(j + 1, len(cols) - 1)
         if vals[j] > best:  # keep the column's p_s bracket and the next p_r on its grid
             best, pr, pr_next = float(vals[j]), float(cols[j]), float(cols[nxt])
             ps_lo, ps_hi = float(lo[j] * lo[j]), float(hi[j] * hi[j])
-        u = np.linspace(u[max(j - 1, 0)], u[nxt], _ZOOM_GRID)
+        u = _linspace(u[max(j - 1, 0)], u[nxt], _ZOOM_GRID)
     ps, lo, hi = ps_lo, np.sqrt([ps_lo]), np.sqrt([ps_hi])
-    columns = phase._gap_columns(np.array([[pr]]), channels, k, config)
+    columns = phase._scan_columns(np.array([[pr]]), channels, k, config)
     for _ in range(_SHRINK_ROUNDS if ps_lo < ps_hi else 0):
         lo, hi, f_lo, _ = _shrink(gap, columns, lo, hi, root, _SHRINK_GRID)
         if f_lo[0] >= -2.0 * root:  # lo is above the lower level too
@@ -414,8 +430,8 @@ def _oracle_sweep(channels, k, config, scenario, caps, grid_n):
     ps = np.linspace(0.0, config.p_s_max, grid_n)
     pr = np.linspace(0.0, config.p_r_max, grid_n)
     grid_ps, grid_pr = ps[:, None], pr[None, :]
-    # linspace ends exactly at the box corner, within _feasible's 1e-12 box
-    # slack, so the cap is the only mask the lattice needs
+    # linspace ends exactly at the box corner, so the cap is the only mask the
+    # lattice needs
     rate = _rate_fn(channels, k, config, scenario)(grid_ps, grid_pr)
     load = _load(grid_ps, grid_pr, channels, k, config, scenario)
     results = []

@@ -9,6 +9,8 @@ import pytest
 import fdrelay as fd
 from fdrelay import harness, phase
 
+import identity
+
 TWO_PI = 2.0 * math.pi
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -161,9 +163,8 @@ def test_frozen_quadratic_closed_form_at_reference(stock_config):
 # the exact gap kernel
 # ---------------------------------------------------------------------------
 
-def _one_shot_gap(ps, pr, channels, k, config):
-    """The signed gap |a| - |b| written as one formula: the reference for the
-    kernel's p_r-column and per-point halves."""
+def _one_shot_amplitudes(ps, pr, channels, k, config):
+    """|a| and |b| of the signed gap, written as one formula."""
     ps = np.asarray(ps, dtype=float)
     pr = np.asarray(pr, dtype=float)
     hrp = channels.h_rp[k]
@@ -175,7 +176,14 @@ def _one_shot_gap(ps, pr, channels, k, config):
     noise = math.sqrt(config.sigma2_relay) * (1.0 + 1.0j) / math.sqrt(2.0)
     d = channels.h_sr[k] * sps + channels.h_rr[k] * szr + noise
     b = d * g * hrp * np.sqrt(pr)
-    return np.abs(a) - np.abs(b)
+    return np.abs(a), np.abs(b)
+
+
+def _one_shot_gap(ps, pr, channels, k, config):
+    """The signed gap |a| - |b| written as one formula: the reference for the
+    kernel's p_r-column and per-point halves."""
+    abs_a, abs_b = _one_shot_amplitudes(ps, pr, channels, k, config)
+    return abs_a - abs_b
 
 
 @pytest.mark.parametrize("cfg_name", ["stock8.cfg", "strong-leakage.cfg"])
@@ -208,3 +216,45 @@ def test_gap_halves_match_the_one_shot_formula(cfg_name):
             columns = [c[rows] for c in phase._gap_columns(scan[1], channels, k, cfg)]
             assert np.all(phase._gap_at(scan[0][rows], columns, channels, k, cfg)
                           == _one_shot_gap(*scan, channels, k, cfg)[rows])
+
+
+def _scan_gap_errors(t, pr, channels, k, config):
+    """|scan kernel - _gap_at| at sqrt source powers t and relay powers pr, and the
+    one-shot |a| + |b| there."""
+    ps = np.asarray(t, dtype=float) ** 2
+    scan = phase._scan_gap(t, phase._scan_columns(pr, channels, k, config), channels, k)
+    want = phase._gap_at(ps, phase._gap_columns(pr, channels, k, config), channels, k, config)
+    return np.abs(scan - want), sum(_one_shot_amplitudes(ps, pr, channels, k, config))
+
+
+def _scan_cases(channels, config, rng):
+    """(k, t, pr) cases: per relay a scalar and a (columns x points) scan from t = 0
+    and sqrt(p_r) = 0, the 201^2 lattice on one relay, and all relays at once as
+    (n, 1) rows."""
+    n, ts, us = config.num_relays, np.sqrt(config.p_s_max), np.sqrt(config.p_r_max)
+    lattice = (ts * np.sqrt(np.linspace(0.0, 1.0, 201))[:, None],
+               np.linspace(0.0, config.p_r_max, 201)[None, :])
+    scan = (rng.uniform(0.0, 1.0, (129, 1)) * ts * np.linspace(0.0, 1.0, 33),
+            (us * np.linspace(0.0, 1.0, 129))[:, None] ** 2)
+    rows = (rng.uniform(0.0, 1.0, (n, 1)) * ts * np.linspace(0.0, 1.0, 17),
+            rng.uniform(0.0, config.p_r_max, (n, 1)))
+    cases = [(k, shape) for k in range(n)
+             for shape in [(float(rng.uniform(0.0, ts)), float(rng.uniform(0.0, config.p_r_max))),
+                           scan]]
+    return cases + [(int(rng.integers(n)), lattice), (np.arange(n)[:, None], rows)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_scan_kernel_matches_the_reference_gap_to_a_few_ulps():
+    # the search's scans evaluate the gap in sqrt(p_s) with h_rp sqrt(p_r) folded into
+    # the column terms; it is not bit for bit _gap_at, but within 32 eps of |a| + |b|
+    instances = [(fd.sample_channels(cfg, seed=seed), cfg)
+                 for name, seed, zeta in itertools.product(
+                     ("stock8.cfg", "strong-leakage.cfg"), range(10), (0.0, 1e-3, 0.4))
+                 for cfg in [dataclasses.replace(harness.load_config(CONFIG_DIR / name),
+                                                 zeta=zeta)]]
+    instances += list(identity.extreme_instances(300))
+    for i, (channels, cfg) in enumerate(instances):
+        for k, (t, pr) in _scan_cases(channels, cfg, np.random.default_rng(i)):
+            err, scale = _scan_gap_errors(t, pr, channels, k, cfg)
+            assert np.all(err <= 32 * np.finfo(float).eps * scale), (i, k)

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fdrelay as fd
-from fdrelay import COHERENT, HD_BASELINE, NONCOHERENT, harness, solver
+from fdrelay import COHERENT, HD_BASELINE, NONCOHERENT, harness, phase, solver
+
+import identity
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -563,23 +565,85 @@ def test_envelope_invariants_over_extreme_ranges(p_s_max, p_r_max, i_bar_p, zeta
 @pytest.mark.filterwarnings("error")
 def test_reported_allocations_lie_in_the_closed_power_box():
     # the coherent search squares sqrt-coordinates, which can land an ulp above
-    # P_s or P_r; what it reports must lie in the box with no slack
-    rng = np.random.default_rng(11)
+    # P_s or P_r, and a caller's warm point can lie just outside the box; what a
+    # solve reports must lie in the box with no slack
+    cfg = fd.NetworkConfig(num_relays=1, zeta=0.001, p_s_max=100.0, p_r_max=100.0,
+                           i_bar_p=1e9)  # the box corner is feasible in every scenario
+    channels = fd.sample_channels(cfg, seed=3)
+    case = fd.alternate_optimize(channels, 0, cfg, NONCOHERENT,
+                                 warm_start=fd.PowerAllocation(100 * (1 + 5e-13), 100))
+    assert case.alloc.p_s == 100.0
+    instances = [(channels, cfg), *identity.extreme_instances(300)]
     outside = []
-    for i in range(300):
-        ps_max, pr_max = 10 ** rng.uniform(-9, 9), 10 ** rng.uniform(-9, 9)
-        ibar = 10 ** rng.uniform(-12, 6)
-        zeta = 0.0 if rng.random() < 0.2 else 10 ** rng.uniform(-6, 6)
-        cfg = fd.NetworkConfig(num_relays=1, zeta=zeta, p_s_max=ps_max,
-                               p_r_max=pr_max, i_bar_p=ibar)
-        channels = fd.sample_channels(cfg, seed=int(rng.integers(1 << 30)))
-        for scenario in (NONCOHERENT, COHERENT, HD_BASELINE):
-            for res in (fd.alternate_optimize(channels, 0, cfg, scenario),
-                        fd.solve_network(channels, cfg, scenario).best):
-                p = res.alloc
+    for i, (channels, cfg) in enumerate(instances):
+        ps_max, pr_max = cfg.p_s_max, cfg.p_r_max
+        ulp = (np.nextafter(ps_max, math.inf), np.nextafter(pr_max, math.inf))
+        rel = (ps_max * (1 + 5e-13), pr_max * (1 + 5e-13))
+        warm = [None] + [fd.PowerAllocation(*p) for up in (ulp, rel)
+                         for p in ((up[0], pr_max), (ps_max, up[1]))]
+        for scenario, w in itertools.product((NONCOHERENT, COHERENT, HD_BASELINE), warm):
+            res = fd.alternate_optimize(channels, 0, cfg, scenario, warm_start=w)
+            warm_net = None if w is None else fd.SolveResult(
+                scenario, (dataclasses.replace(res, alloc=w),), 0)
+            net = fd.solve_network(channels, cfg, scenario, warm=warm_net)
+            for p in (res.alloc, net.best.alloc):
                 if not (0.0 <= p.p_s <= ps_max and 0.0 <= p.p_r <= pr_max):
-                    outside.append((i, scenario, p.p_s - ps_max, p.p_r - pr_max))
+                    outside.append((i, scenario, w, p.p_s - ps_max, p.p_r - pr_max))
     assert outside == []
+
+
+# ---------------------------------------------------------------------------
+# the bracket scans
+# ---------------------------------------------------------------------------
+
+def _bottom_up_shrink(gap, columns, lo, hi, root, points):
+    """``solver._shrink`` as a scan from the bracket's bottom up: the last point
+    with f <= 0, found by an argmax over the reversed row."""
+    t = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, points)
+    g = gap(t, columns)
+    f = np.copysign(1.0, g[:, -1:]) * g - root
+    j = points - 1 - np.argmax(f[:, ::-1] <= 0.0, axis=1)
+    rows, nxt = np.arange(len(lo)), np.minimum(j + 1, points - 1)
+    return t[rows, j], t[rows, nxt], f[rows, j], f[rows, nxt]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cfg_name", ["stock8.cfg", "strong-leakage.cfg"])
+def test_top_down_shrink_equals_the_bottom_up_scan(cfg_name):
+    # the search scans each bracket from the top down; it must keep exactly the
+    # brackets and f values of the bottom-up scan, closed brackets included
+    base = harness.load_config(CONFIG_DIR / cfg_name)
+    for seed, zeta, cap_db in itertools.product(range(6), (0.0, 1e-3, 0.4),
+                                                (-10.0, 0.0, 10.0, math.inf)):
+        cfg = dataclasses.replace(base, zeta=zeta, i_bar_p=fd.db_to_linear(cap_db))
+        channels = fd.sample_channels(cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        k, n = seed % cfg.num_relays, 129
+        top = math.sqrt(cfg.p_s_max)
+        columns = phase._scan_columns(rng.uniform(0.0, cfg.p_r_max, (n, 1)), channels, k, cfg)
+        lo = rng.uniform(0.0, top, n) * (rng.random(n) < 0.8)
+        hi = np.where(rng.random(n) < 0.2, lo, rng.uniform(lo, top))  # some closed
+
+        def scan(t, c):
+            return phase._scan_gap(t, c, channels, k)
+
+        line = (rng.choice([-1.0, 1.0], (n, 1)), lo[:, None])  # either sign, 0 at lo
+        for gap, cols, root in [(scan, columns, math.sqrt(cfg.i_bar_p)),
+                                (scan, columns, 0.0),  # no feasible point
+                                (lambda t, c: c[0] * (t - c[1]), line, 0.0)]:  # f = 0 at lo
+            for points in (17, 33, 257):
+                got = solver._shrink(gap, cols, lo, hi, root, points)
+                want = _bottom_up_shrink(gap, cols, lo, hi, root, points)
+                assert all(np.all(a == b) for a, b in zip(got, want)), (seed, zeta, cap_db)
+
+
+def test_linspace_replica_equals_numpy_linspace():
+    rng = np.random.default_rng(5)
+    ends = 10.0 ** rng.uniform(-9, 9, (200, 2)) * rng.choice([-1.0, 1.0], (200, 2))
+    ends[::4, 0] = 0.0
+    ends[1::4, 1] = ends[1::4, 0]  # a == b
+    for (a, b), n in itertools.product(ends.tolist(), (33, 129, 257)):
+        assert np.all(solver._linspace(a, b, n) == np.linspace(a, b, n)), (a, b, n)
 
 
 @st.composite
