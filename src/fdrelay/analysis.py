@@ -129,6 +129,11 @@ def f_partials(ps: float, pr: float, channels: ChannelRealization, k: int,
         raise DomainError(f"interior point required, got ps={ps!r}, pr={pr!r}")
     if zh == 0.0:
         raise DomainError("zeta_hat == 0: use ftilde_partials")
+    return _f_partials_vals(ps, pr, hsr2, hrd2, zh, s2d)
+
+
+def _f_partials_vals(ps, pr, hsr2, hrd2, zh, s2d):
+    """f_partials' closed forms with coefficient arrays that broadcast with the points."""
     f = 1.0 / ps + pr * hrd2 / (ps * s2d) + hsr2 / (zh * pr)
     f_s = -1.0 / ps ** 2 - hrd2 * pr / (ps ** 2 * s2d)
     f_r = hrd2 / (ps * s2d) - hsr2 / (zh * pr ** 2)
@@ -146,6 +151,11 @@ def g_partials(ps: float, pr: float, channels: ChannelRealization, k: int,
         raise DomainError(f"interior point required, got ps={ps!r}, pr={pr!r}")
     if zh == 0.0:
         raise DomainError("zeta_hat == 0: the sqrt-coordinate reciprocal degenerates")
+    return _g_partials_vals(ps, pr, hsr2, hrd2, zh, s2d)
+
+
+def _g_partials_vals(ps, pr, hsr2, hrd2, zh, s2d):
+    """g_partials' closed forms with coefficient arrays that broadcast with the points."""
     g = 1.0 / (ps * ps) + (pr * pr) * hrd2 / ((ps * ps) * s2d) + hsr2 / (zh * (pr * pr))
     g_s = -2.0 / ps ** 3 - 2.0 * hrd2 * pr ** 2 / (ps ** 3 * s2d)
     g_r = 2.0 * hrd2 * pr / (ps ** 2 * s2d) - 2.0 * hsr2 / (zh * pr ** 3)
@@ -165,6 +175,11 @@ def ftilde_partials(ps: float, pr: float, channels: ChannelRealization, k: int,
     hsr2, hrd2, _, s2d, s2r = _coeffs(channels, k, config)
     if not (np.all(ps > 0.0) and np.all(pr > 0.0)):
         raise DomainError(f"interior point required, got ps={ps!r}, pr={pr!r}")
+    return _ftilde_partials_vals(ps, pr, hsr2, hrd2, s2d, s2r)
+
+
+def _ftilde_partials_vals(ps, pr, hsr2, hrd2, s2d, s2r):
+    """ftilde_partials' closed forms with coefficient arrays that broadcast with the points."""
     ft = hrd2 / (ps * s2d) + hsr2 / (s2r * pr)
     ft_s = -hrd2 / (ps ** 2 * s2d)
     ft_r = -hsr2 / (s2r * pr ** 2)
@@ -194,9 +209,13 @@ def _surrogate_scale(channels, k, config, zero_leakage=False) -> float:
     carry this positive constant so they match finite differences of the
     actual objective, not just its reciprocal's shape."""
     hsr2, hrd2, zh, s2d, s2r = _coeffs(channels, k, config)
-    if zero_leakage:
-        return hsr2 * hrd2 / (s2d * s2r)
-    return hsr2 * hrd2 / (zh * s2d)
+    return _surrogate_scale_vals(hsr2, hrd2, s2r if zero_leakage else zh, s2d)
+
+
+def _surrogate_scale_vals(hsr2, hrd2, loop, s2d):
+    """_surrogate_scale from coefficient arrays: loop is zeta_hat, or sigma_r^2 for the
+    zero-leakage surrogate (s2d * s2r and s2r * s2d round alike)."""
+    return hsr2 * hrd2 / (loop * s2d)
 
 
 def hessian_noncoh(alloc: PowerAllocation, channels: ChannelRealization, k: int,

@@ -283,6 +283,50 @@ def emit_csv(rows, path) -> None:
 # the structural results the solvers rely on.
 # ----------------------------------------------------------------------------
 
+# The suite evaluates at most _BATCH_POINTS points per array, and its phase grid
+# _PHASE_BATCH instances (x 512 phases) at a time.
+_BATCH_POINTS = 1000
+_PHASE_BATCH = 8
+_EACH = slice(None)  # the relay index of a _Relays row view: each row is its own relay
+
+
+@dataclass(frozen=True)
+class _Relays:
+    """Relay coefficients of several channel draws: h_sp, the one per-draw field and
+    the first, as a (draws,) array, the others as (draws, K) arrays.  ``at(d, k)``
+    gathers one row per instance, which the phase kernels read as a
+    ChannelRealization at relay index ``_EACH``."""
+
+    h_sp: np.ndarray
+    h_sr: np.ndarray
+    h_rp: np.ndarray
+    h_rr: np.ndarray
+    hsr2: np.ndarray
+    hrd2: np.ndarray
+    hrr2: np.ndarray
+
+    def at(self, d, k) -> "_Relays":
+        return _Relays(self.h_sp[d], *(getattr(self, f.name)[d, k]
+                                       for f in dataclasses.fields(self)[1:]))
+
+
+def _random_phasors(rng, draws, relays, per_draw, lo, config):
+    """``decompose``'s (a, b), with the relay coefficients and p_r, of per_draw random
+    instances on each draw, at most ``_BATCH_POINTS`` at a time.  One scalar RNG call
+    each: the relay, then p_s and p_r uniform on [lo, their cap]."""
+    draw = np.repeat(np.arange(len(draws)), per_draw)
+    for start in range(0, draw.size, _BATCH_POINTS):
+        d = draw[start:start + _BATCH_POINTS]
+        k, ps, pr = np.empty(d.size, dtype=int), np.empty(d.size), np.empty(d.size)
+        for i, j in enumerate(d):
+            k[i] = rng.integers(draws[j].num_relays)
+            ps[i] = rng.uniform(lo, config.p_s_max)
+            pr[i] = rng.uniform(lo, config.p_r_max)
+        rel = relays.at(d, k)
+        columns = phase._gap_columns(pr, rel, _EACH, config)
+        yield *phase._phasors_at(ps, columns, rel, _EACH, config), rel, pr
+
+
 def _interior_points(rng, n, p_max):
     """Log-uniform interior allocations (spread over decades, never on axes)."""
     lo, hi = np.log(1e-2), np.log(p_max)
@@ -297,8 +341,10 @@ def lemma_suite(config: NetworkConfig, base_seed: int = 0, num_points: int = 200
 
     num_points scales the pointwise curvature checks; num_draws scales the
     per-realization witness constructions and phase instances; both must be
-    >= 1.  Each draw's curvature points go through the closed forms as one
-    array, and each witness's 9-point stencil is one broadcasting call.
+    >= 1.  Instances and points are drawn from one RNG stream, draw by draw,
+    and evaluated across draws in arrays of at most ``_BATCH_POINTS``
+    points (the phase grid: ``_PHASE_BATCH`` instances at a time); each
+    witness's 9-point stencil is one broadcasting call.
     """
     for name, n in (("num_points", num_points), ("num_draws", num_draws)):
         if n < 1:
@@ -308,56 +354,72 @@ def lemma_suite(config: NetworkConfig, base_seed: int = 0, num_points: int = 200
     p_max = max(config.p_s_max, config.p_r_max)
 
     draws = [model.sample_channels(config, base_seed + i) for i in range(num_draws)]
+    relays = _Relays(*(np.array([getattr(ch, f.name) for ch in draws])
+                       for f in dataclasses.fields(_Relays)))
 
     # --- exact phase alignment beats a dense grid and matches the closed form
     worst_rel = 0.0
     worst_eq = 0.0
     n_phase = 0
-    phis = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-    for ch in draws:
-        for _ in range(max(1, num_points // (num_draws * 50))):
-            k = int(rng.integers(ch.num_relays))
-            alloc = PowerAllocation(float(rng.uniform(0.05, config.p_s_max)),
-                                    float(rng.uniform(0.05, config.p_r_max)))
-            dec = phase.decompose(alloc, ch, k, config)
-            sol = phase.optimal_phase(dec)
-            grid_vals = phase.interference_coh_at_phase(alloc, ch, k, config, phis)
-            gmin = float(np.min(grid_vals))
-            scale = max(gmin, 1e-30)
-            worst_rel = max(worst_rel, (sol.i_coh - gmin) / scale)
-            closed = (abs(dec.a) - abs(dec.b)) ** 2
-            worst_eq = max(worst_eq, abs(sol.i_coh - closed) / max(closed, 1e-30))
-            n_phase += 1
+    rotations = np.exp(-1j * np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False))
+    for a, b, _, _ in _random_phasors(rng, draws, relays,
+                                      max(1, num_points // (num_draws * 50)), 0.05, config):
+        abs_a, abs_b = np.abs(a), np.abs(b)
+        i_coh = (abs_a - abs_b) ** 2
+        gmin = np.empty(a.size)
+        for i in range(0, a.size, _PHASE_BATCH):
+            rows = slice(i, i + _PHASE_BATCH)
+            gmin[rows] = np.min(np.abs(a[rows, None] + b[rows, None] * rotations) ** 2, axis=1)
+        worst_rel = max(worst_rel, float(np.max((i_coh - gmin) / np.maximum(gmin, 1e-30))))
+        # the interference at optimal_phase's phi_opt, against its amplitude scale
+        phi_opt = phase._opposition_phase(np.angle(a), np.angle(b))
+        at_opt = np.abs(a + b * np.exp(-1j * phi_opt)) ** 2
+        worst_eq = max(worst_eq, float(np.max(np.abs(i_coh - at_opt)
+                                              / np.maximum((abs_a + abs_b) ** 2, 1e-30))))
+        n_phase += a.size
     checks.append(LemmaCheck(
         "phase-alignment-optimality", worst_rel <= 1e-9 and worst_eq <= 1e-12 and n_phase > 0,
         n_phase, f"max rel excess over grid {worst_rel:.3e}, closed-form dev {worst_eq:.3e}"))
+
+    n_curv = max(1, num_points // num_draws)
+
+    def curvature_batches(p_top):
+        """(relay coefficients, ps, pr) of batches of draws, each draw's interior points
+        a row of ps and pr; in RNG order, each draw's points, then its relay."""
+        step = max(1, _BATCH_POINTS // n_curv)
+        for start in range(0, num_draws, step):
+            d = np.arange(start, min(start + step, num_draws))
+            ps, pr, k = (np.array(c) for c in zip(*[
+                (*_interior_points(rng, n_curv, p_top), rng.integers(draws[j].num_relays))
+                for j in d]))
+            yield relays.at(d, k), ps, pr
 
     # --- the leaky surrogate's reciprocal is convex in each power separately
     #     (strictly positive pure second partials), in power and in sqrt coordinates
     #     (coherent subproblems), which makes every 1-D slice of it unimodal
     for name, partials, p_top in (
-            ("noncoh-per-variable-convexity", analysis.f_partials, p_max),
-            ("coh-per-variable-convexity", analysis.g_partials, float(np.sqrt(p_max)))):
+            ("noncoh-per-variable-convexity", analysis._f_partials_vals, p_max),
+            ("coh-per-variable-convexity", analysis._g_partials_vals, float(np.sqrt(p_max)))):
         bad = n_pts = 0
-        for ch in draws:
-            ps, pr = _interior_points(rng, max(1, num_points // num_draws), p_top)
-            k = int(rng.integers(ch.num_relays))
-            if model.zeta_hat(ch, k, config) == 0.0:
-                continue
-            _, _, _, v_ss, _, v_rr = partials(ps, pr, ch, k, config)
-            n_pts += ps.size
+        for rel, ps, pr in curvature_batches(p_top):
+            zh = rel.hrr2 * config.zeta  # model.zeta_hat's product, per draw
+            live = zh != 0.0
+            _, _, _, v_ss, _, v_rr = partials(
+                ps[live], pr[live], rel.hsr2[live, None], rel.hrd2[live, None],
+                zh[live, None], config.sigma2_dest)
+            n_pts += v_ss.size
             bad += int(np.count_nonzero(~((v_ss > 0.0) & (v_rr > 0.0))))
         checks.append(LemmaCheck(name, bad == 0 and n_pts > 0, n_pts,
                                  f"{bad} sign violations"))
 
     # --- zero-leakage surrogate is jointly concave (negative semidefinite)
     bad = n_pts = 0
-    for ch in draws:
-        ps, pr = _interior_points(rng, max(1, num_points // num_draws), p_max)
-        k = int(rng.integers(ch.num_relays))
+    for rel, ps, pr in curvature_batches(p_max):
+        gains = rel.hsr2[:, None], rel.hrd2[:, None]
         h11, _, h22, det = analysis._quotient_hessian(
-            analysis.ftilde_partials(ps, pr, ch, k, config),
-            analysis._surrogate_scale(ch, k, config, zero_leakage=True))
+            analysis._ftilde_partials_vals(ps, pr, *gains, config.sigma2_dest,
+                                           config.sigma2_relay),
+            analysis._surrogate_scale_vals(*gains, config.sigma2_relay, config.sigma2_dest))
         scale = np.maximum(np.maximum(np.abs(h11), np.abs(h22)), 1e-30)
         n_pts += ps.size
         bad += int(np.count_nonzero(~((h11 < 1e-15) & (h22 < 1e-15)
@@ -399,16 +461,13 @@ def lemma_suite(config: NetworkConfig, base_seed: int = 0, num_points: int = 200
     #     cross term L = d^2 - 1/G^2 stays below 2/G^2 and the conservative
     #     surrogate never understates the coupling term (d^2 G^2 / 3 in (0, 1])
     worst, lo_ratio, hi_ratio, n_cs = -np.inf, np.inf, -np.inf, 0
-    for ch in draws:
-        for _ in range(max(1, num_points // (num_draws * 10))):
-            k = int(rng.integers(ch.num_relays))
-            alloc = PowerAllocation(float(rng.uniform(1e-3, config.p_s_max)),
-                                    float(rng.uniform(1e-3, config.p_r_max)))
-            b = phase.decompose(alloc, ch, k, config).b
-            d2g2 = abs(b) ** 2 / (abs(ch.h_rp[k]) ** 2 * alloc.p_r)
-            worst = max(worst, d2g2 - 3.0)  # normalized slack
-            lo_ratio, hi_ratio = min(lo_ratio, d2g2 / 3.0), max(hi_ratio, d2g2 / 3.0)
-            n_cs += 1
+    for _, b, rel, pr in _random_phasors(rng, draws, relays,
+                                         max(1, num_points // (num_draws * 10)), 1e-3, config):
+        d2g2 = np.abs(b) ** 2 / (np.abs(rel.h_rp) ** 2 * pr)
+        worst = max(worst, float(np.max(d2g2 - 3.0)))  # normalized slack
+        ratio = d2g2 / 3.0
+        lo_ratio, hi_ratio = min(lo_ratio, float(ratio.min())), max(hi_ratio, float(ratio.max()))
+        n_cs += d2g2.size
     checks.append(LemmaCheck("cross-term-bound", worst <= 1e-9 and n_cs > 0, n_cs,
                              f"max normalized slack {worst:.3e}"))
     checks.append(LemmaCheck("surrogate-conservatism", 0.0 < lo_ratio

@@ -16,6 +16,8 @@ the constraint into a convex quadratic in square-root powers -- see
 instead, whose square is the interference: ``_gap_at``, in ``decompose``'s
 operations, accepts points, and the cheaper scan kernel ``_scan_gap``, in
 sqrt(p_s) and a few ulps of |a| + |b| from it, places the search's brackets.
+``_gap_at`` takes its phasors from ``_phasors_at``, which also gives the
+structural suite ``decompose``'s phasors over arrays of instances.
 """
 
 from __future__ import annotations
@@ -119,10 +121,15 @@ def optimal_phase(dec: CoherentDecomposition, sampling_freq: float = 1.0) -> Pha
     convention phi_opt = pi (the formula's value at phi_a = phi_b) keeps the
     function total.  ``sampling_freq`` only converts the phase to a delay.
     """
-    phi = (math.pi + dec.phi_b - dec.phi_a) % TWO_PI
+    phi = _opposition_phase(dec.phi_a, dec.phi_b)
     i_coh = (abs(dec.a) - abs(dec.b)) ** 2
     return PhaseSolution(phi_opt=phi, i_coh=float(i_coh),
                          delay=phi / (TWO_PI * sampling_freq))
+
+
+def _opposition_phase(phi_a, phi_b):
+    """optimal_phase's phi_opt = pi + phi_b - phi_a (mod 2*pi), for floats or arrays."""
+    return (math.pi + phi_b - phi_a) % TWO_PI
 
 
 def interference_coh(alloc: PowerAllocation, channels: ChannelRealization, k: int,
@@ -183,12 +190,10 @@ def _gap_columns(pr, channels: ChannelRealization, k, config: NetworkConfig):
     return (channels.h_rp[k] * szr, zpr * channels.hrr2[k], channels.h_rr[k] * szr, np.sqrt(pr))
 
 
-def _gap_at(ps, columns, channels: ChannelRealization, k, config: NetworkConfig):
-    """The signed amplitude gap |a| - |b| at source POWERS ps, against ``_gap_columns``
-    terms that broadcast with ps, in the order of ``decompose``'s operations.  The
-    aligned interference is its square, so the feasible set is where it lies in
-    [-sqrt(i_bar_p), sqrt(i_bar_p)].  ``k`` is a relay index, or an integer array of
-    them that broadcasts against the powers."""
+def _phasors_at(ps, columns, channels: ChannelRealization, k, config: NetworkConfig):
+    """``decompose``'s phasors (a, b) at source POWERS ps, against ``_gap_columns``
+    terms that broadcast with ps, in the order of ``decompose``'s operations.  ``k`` is
+    a relay index, or an integer array of them that broadcasts against the powers."""
     hrp_szr, zpr_hrr2, hrr_szr, spr = columns
     ps = np.asarray(ps, dtype=float)
     sps = np.sqrt(ps)
@@ -196,7 +201,13 @@ def _gap_at(ps, columns, channels: ChannelRealization, k, config: NetworkConfig)
     g = 1.0 / np.sqrt(ps * channels.hsr2[k] + zpr_hrr2 + config.sigma2_relay)
     noise = math.sqrt(config.sigma2_relay) * (1.0 + 1.0j) / math.sqrt(2.0)
     d = channels.h_sr[k] * sps + hrr_szr + noise
-    b = d * g * channels.h_rp[k] * spr
+    return a, d * g * channels.h_rp[k] * spr
+
+
+def _gap_at(ps, columns, channels: ChannelRealization, k, config: NetworkConfig):
+    """The signed amplitude gap |a| - |b| of ``_phasors_at``.  The aligned interference
+    is its square, so the feasible set is where it lies in [-sqrt(i_bar_p), sqrt(i_bar_p)]."""
+    a, b = _phasors_at(ps, columns, channels, k, config)
     return np.abs(a) - np.abs(b)
 
 

@@ -1,12 +1,15 @@
-"""One digest over the raw bits of a fixed set of network solves.
+"""One digest over the raw bits of a fixed set of network solves, and one over
+a fixed set of structural-suite reports.
 
 Run as a script (``PYTHONPATH=src python tests/identity.py``) on two commits:
-if they print the same digest, every solve of the set returned the same
-allocation, rate, iteration count and selection, bit for bit.  Raw bits are a
-property of the host as well as of the code (README, "Reproducibility"), so
-the script prints numpy's SIMD dispatch beside the digest; compare digests
-only between runs with the same dispatch.  pytest does not collect this file;
-the tests import its extreme generator (``extreme_instances``).
+if they print the same ``sha256``, every solve of the set returned the same
+allocation, rate, iteration count and selection, bit for bit; if they print
+the same ``suite_sha256``, every report line of the suites is the same.  Raw
+bits are a property of the host as well as of the code (README,
+"Reproducibility"), so the script prints numpy's SIMD dispatch beside the
+digests; compare digests only between runs with the same dispatch.  pytest
+does not collect this file; the tests import its extreme generator
+(``extreme_instances``) and its report writer (``suite_report``).
 
 The set:
 
@@ -19,6 +22,10 @@ The set:
 
 The digest is one sha256 over, per solve in that order, ``float.hex`` of each
 relay's (p_s, p_r, rate), its ``iterations``, and the solve's ``selected``.
+
+The suite digest is the sha256 of ``suite_report`` over 40 full-scale
+``lemma_suite`` runs on the default config (10,000 points, 100 draws), base
+seeds s*10000 + 100*j for s < 10 and j < 4 in that order.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ SEEDS = range(60)
 SCENARIOS = (fd.NONCOHERENT, fd.COHERENT, fd.HD_BASELINE)
 CAPS_DB = (-math.inf, -10.0, 0.0, 2.0, 5.0, 10.0, 30.0, math.inf)
 EXTREME = 3000
+SUITE_BASES = [s * 10_000 + 100 * j for s in range(10) for j in range(4)]
 
 
 def extreme_instances(n):
@@ -83,6 +91,15 @@ def extreme_solves():
             yield fd.solve_network(channels, cfg, fd.COHERENT)
 
 
+def suite_report(bases) -> str:
+    """The full-scale ``lemma_suite`` reports at each base seed, one line per check
+    (``base,name,passed,checked,detail``), joined with newlines."""
+    config = harness.default_config()
+    return "\n".join(f"{base},{c.name},{c.passed},{c.checked},{c.detail}" for base in bases
+                     for c in harness.lemma_suite(config, base, num_points=10_000,
+                                                  num_draws=100))
+
+
 def update(digest, res) -> int:
     """Feed one solve into the digest; returns its relay count."""
     for r in res.relays:
@@ -99,11 +116,13 @@ def main() -> None:
     for res in itertools.chain(warm_chained_solves(), extreme_solves()):
         relays += update(digest, res)
         solves += 1
+    suites = hashlib.sha256(suite_report(SUITE_BASES).encode())
     print(json.dumps({"numpy": np.__version__, "simd_baseline": simd.get("baseline", []),
                       "simd_found": simd.get("found", []),
                       "simd_not_found": simd.get("not found", []), "solves": solves,
-                      "relay_results": relays, "seconds": round(time.perf_counter() - start, 1),
-                      "sha256": digest.hexdigest()}))
+                      "relay_results": relays, "suites": len(SUITE_BASES),
+                      "seconds": round(time.perf_counter() - start, 1),
+                      "sha256": digest.hexdigest(), "suite_sha256": suites.hexdigest()}))
 
 
 if __name__ == "__main__":

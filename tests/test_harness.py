@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from fdrelay.harness import (CSV_COLUMNS, UNCONSTRAINED, ExperimentSpec,
                              lemma_suite, load_config, parse_config_text,
                              run_experiment)
 
+import identity
 import pins
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -312,7 +314,7 @@ def test_lemma_suite_report_is_pinned():
     checks = lemma_suite(default_config(), 0, num_points=10_000, num_draws=100)
     assert [f"{c.name},{c.passed},{c.checked},{c.detail}" for c in checks] == [
         "phase-alignment-optimality,True,200,"
-        "max rel excess over grid 0.000e+00, closed-form dev 0.000e+00",
+        "max rel excess over grid 0.000e+00, closed-form dev 4.642e-16",
         "noncoh-per-variable-convexity,True,10000,0 sign violations",
         "coh-per-variable-convexity,True,10000,0 sign violations",
         "noncoh-zeta0-joint-concavity,True,10000,0 semidefiniteness violations",
@@ -321,6 +323,13 @@ def test_lemma_suite_report_is_pinned():
         "cross-term-bound,True,1000,max normalized slack -6.925e-01",
         "surrogate-conservatism,True,1000,coupling ratio in [0.0026, 0.7692]",
     ]
+
+
+def test_lemma_suite_reports_are_pinned():
+    # eight more full-scale suites pin every check's RNG order and report past base seed 0
+    bases = [base + 100 * j for base in (430_000, 180_000) for j in range(4)]
+    assert hashlib.sha256(identity.suite_report(bases).encode()).hexdigest() == (
+        "4da330ad4379f353b6fd90bef1874e335a7223986e3aabeb667782ed5103c9a1")
 
 
 def test_lemma_suite_passes_where_a_witness_sits_near_zero_power():

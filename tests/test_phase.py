@@ -188,8 +188,11 @@ def _one_shot_gap(ps, pr, channels, k, config):
 
 @pytest.mark.parametrize("cfg_name", ["stock8.cfg", "strong-leakage.cfg"])
 def test_gap_halves_match_the_one_shot_formula(cfg_name):
-    # the solver's column scans build the p_r terms once per column and evaluate
-    # only the open columns' rows; every value must keep the formula's bits
+    # _gap_at is the exact gap behind _interference_coh_vals, which accepts every
+    # coherent point (feasibility, the certificate, the kink test, the oracle), and
+    # the reference the scan kernel is held to; its phasors come from _phasors_at,
+    # which the structural suite reads too.  With the p_r terms built apart, every
+    # value, on whole arrays and on row subsets alike, must keep the formula's bits
     base = harness.load_config(CONFIG_DIR / cfg_name)
     lattice = (np.linspace(0.0, base.p_s_max, 201)[:, None],
                np.linspace(0.0, base.p_r_max, 201)[None, :])
@@ -216,6 +219,38 @@ def test_gap_halves_match_the_one_shot_formula(cfg_name):
             columns = [c[rows] for c in phase._gap_columns(scan[1], channels, k, cfg)]
             assert np.all(phase._gap_at(scan[0][rows], columns, channels, k, cfg)
                           == _one_shot_gap(*scan, channels, k, cfg)[rows])
+
+
+def _phasor_cases():
+    """(channels, config) of stock8 and strong-leakage, seeds 0-9 at three leakage
+    values, then the first 300 extreme one-relay instances."""
+    for cfg_name in ("stock8.cfg", "strong-leakage.cfg"):
+        base = harness.load_config(CONFIG_DIR / cfg_name)
+        for seed, zeta in itertools.product(range(10), (0.0, 1e-3, 0.4)):
+            cfg = dataclasses.replace(base, zeta=zeta)
+            yield fd.sample_channels(cfg, seed=seed), cfg
+    yield from identity.extreme_instances(300)
+
+
+def test_array_phasors_match_decompose():
+    # lemma_suite's phase and cross-term checks take decompose's phasors from
+    # _phasors_at, many instances and relays per call; each must lie within
+    # 8 eps of |a| + |b| of the scalar decomposition
+    rng = np.random.default_rng(24)
+    eps = np.finfo(float).eps
+    n = 16
+    for channels, cfg in _phasor_cases():
+        k = rng.integers(channels.num_relays, size=n)
+        scale = np.where(np.arange(n) < n // 2, rng.random(n), 10.0 ** rng.uniform(-9, 0, n))
+        ps, pr = cfg.p_s_max * scale, cfg.p_r_max * rng.permutation(scale)
+        a, b = phase._phasors_at(ps, phase._gap_columns(pr, channels, k, cfg), channels, k,
+                                 cfg)
+        for i in range(n):
+            dec = fd.decompose(fd.PowerAllocation(float(ps[i]), float(pr[i])), channels,
+                               int(k[i]), cfg)
+            tol = 8.0 * eps * (abs(dec.a) + abs(dec.b))
+            assert abs(a[i] - dec.a) <= tol, (cfg, channels.seed, i)
+            assert abs(b[i] - dec.b) <= tol, (cfg, channels.seed, i)
 
 
 def _scan_gap_errors(t, pr, channels, k, config):
